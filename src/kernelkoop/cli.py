@@ -549,6 +549,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args, cfg)

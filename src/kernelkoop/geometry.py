@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import PointSet
+from .kernels import PointSet, as_points
 
 
 def _states_and_indices(data) -> tuple[np.ndarray, np.ndarray]:
@@ -24,9 +24,7 @@ def _states_and_indices(data) -> tuple[np.ndarray, np.ndarray]:
         if idx is None:
             idx = np.arange(len(data))
         return data.points, idx
-    pts = np.asarray(data, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = as_points(data)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise DegenerateInputError("trajectory is empty")
     return pts, np.arange(pts.shape[0])

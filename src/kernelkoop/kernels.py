@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConfigError, DegenerateInputError, InvalidArgumentError
 
@@ -177,9 +177,7 @@ class PointSet:
     indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = as_points(self.points)
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
             raise InvalidArgumentError(
                 f"points must form a nonempty (M, d) array, got shape {np.shape(self.points)}"
@@ -205,18 +203,16 @@ class PointSet:
         return self.points.shape[1]
 
 
-def _as_points(obj) -> np.ndarray:
-    """Accept a PointSet or an array-like of points; return an (M, d) array."""
+def as_points(obj) -> np.ndarray:
+    """The points of a PointSet or array-like as a float array.
+
+    A 1-D input of length M is M points on the real line, shape (M, 1);
+    other shapes are returned as given for the caller to validate.
+    """
     if isinstance(obj, PointSet):
         return obj.points
     pts = np.asarray(obj, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise DegenerateInputError(
-            f"expected a nonempty set of points, got shape {np.shape(obj)}"
-        )
-    return pts
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
@@ -249,22 +245,29 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Assemble the matrix [K(a_i, b_j)] for two point sets.
 
-    When A and B hold the same points the result is assembled from the
-    upper triangle and mirrored, so it is exactly symmetric, and the
-    points are required to be pairwise distinct (the matrix would be
-    singular otherwise).
+    Passing the same object as A and B (``B is A``) asks for the Gram
+    matrix: it is assembled from the pairwise distances once, so it is
+    exactly symmetric, and the points are required to be pairwise
+    distinct (the matrix would be singular otherwise).  Any other pair is
+    assembled as a cross matrix, even when the two hold equal points.
     """
-    pa = _as_points(A)
-    pb = _as_points(B)
+    gram = B is A
+    pa = as_points(A)
+    pb = pa if gram else as_points(B)
+    for pts, obj in ((pa, A), (pb, B)):
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise DegenerateInputError(
+                f"expected a nonempty set of points, got shape {np.shape(obj)}"
+            )
     if pa.shape[1] != pb.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}"
         )
-    same = pa is pb or (pa.shape == pb.shape and np.array_equal(pa, pb))
-    if same:
-        if len(pa) > 1 and float(pdist(pa).min()) == 0.0:
-            raise DegenerateInputError("kernel centers must be pairwise distinct")
-        K = _profile(spec, cdist(pa, pa))
-        upper = np.triu(K)
-        return upper + np.triu(K, 1).T
-    return _profile(spec, cdist(pa, pb))
+    if not gram:
+        return _profile(spec, cdist(pa, pb))
+    dist = pdist(pa)
+    if dist.size and float(dist.min()) == 0.0:
+        raise DegenerateInputError("kernel centers must be pairwise distinct")
+    K = squareform(_profile(spec, dist))
+    np.fill_diagonal(K, _profile(spec, np.float64(0.0)))
+    return K

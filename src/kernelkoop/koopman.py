@@ -15,23 +15,14 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import KernelSpec, PointSet, kernel_matrix
+from .kernels import KernelSpec, PointSet, as_points, kernel_matrix
 from .linsys import SolveReport, solve_spd
-
-
-def _as_column_points(arr) -> np.ndarray:
-    """Coerce an array of m points to shape (m, d); 1-D input means d = 1."""
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    return a
 
 
 @dataclass
@@ -41,6 +32,7 @@ class TrajectoryDataset:
     Both the sampled states and their advanced states are stored, so the
     estimators never need the (unknown) dynamics map itself.  Outputs are
     measurements of the (unknown) observable at the advanced states.
+    Time indices must be unique and all values finite.
     """
 
     k: np.ndarray
@@ -50,12 +42,9 @@ class TrajectoryDataset:
 
     def __post_init__(self) -> None:
         self.k = np.asarray(self.k, dtype=int)
-        self.x = _as_column_points(self.x)
-        self.x_next = _as_column_points(self.x_next)
-        y = np.asarray(self.y_next, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        self.y_next = y
+        self.x = as_points(self.x)
+        self.x_next = as_points(self.x_next)
+        self.y_next = as_points(self.y_next)
         m = self.k.shape[0]
         if self.x.shape[0] != m or self.x_next.shape[0] != m or self.y_next.shape[0] != m:
             raise InvalidArgumentError("record arrays must have equal length")
@@ -63,6 +52,10 @@ class TrajectoryDataset:
             raise InvalidArgumentError("x and x_next must share dimension")
         if m == 0:
             raise DegenerateInputError("dataset is empty")
+        if not all(np.isfinite(a).all() for a in (self.x, self.x_next, self.y_next)):
+            raise DegenerateInputError("x, x_next and y_next must be finite")
+        if np.unique(self.k).size != m:
+            raise DegenerateInputError("time indices k must be unique")
 
     def __len__(self) -> int:
         return self.k.shape[0]
@@ -106,9 +99,7 @@ class KoopmanEstimate:
     diagnostics: SolveReport
 
     def __post_init__(self) -> None:
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        if self.alpha.ndim == 1:
-            self.alpha = self.alpha[:, None]
+        self.alpha = as_points(self.alpha)
         m = len(self.centers)
         if len(self.advanced_centers) != m or self.alpha.shape[0] != m:
             raise InvalidArgumentError(
@@ -135,20 +126,26 @@ class EdmdOperator:
     rank_deficient: bool = False
 
 
+def _rows_at_times(dataset: TrajectoryDataset, times) -> tuple[np.ndarray, np.ndarray]:
+    """Dataset rows whose time index k equals each of ``times``, and which exist.
+
+    Rows of missing times are arbitrary and must be masked by the second
+    array.  Relies on the time indices of the dataset being unique.
+    """
+    order = np.argsort(dataset.k)
+    sorted_k = dataset.k[order]
+    pos = np.minimum(np.searchsorted(sorted_k, times), len(sorted_k) - 1)
+    return order[pos], sorted_k[pos] == times
+
+
 def _center_rows(dataset: TrajectoryDataset, centers: PointSet) -> np.ndarray:
     """Positions of the subselected centers inside the dataset, via time index."""
     if centers.indices is None:
         raise InvalidArgumentError("centers must carry trajectory indices")
-    lookup = {int(t): i for i, t in enumerate(dataset.k)}
-    rows = []
-    for t in centers.indices:
-        try:
-            rows.append(lookup[int(t)])
-        except KeyError:
-            raise InvalidArgumentError(
-                f"center time index {int(t)} not present in dataset"
-            ) from None
-    rows = np.array(rows, dtype=int)
+    rows, found = _rows_at_times(dataset, centers.indices)
+    if not found.all():
+        t = int(centers.indices[~found][0])
+        raise InvalidArgumentError(f"center time index {t} not present in dataset")
     if not np.array_equal(dataset.x[rows], centers.points):
         raise InvalidArgumentError("center coordinates disagree with dataset states")
     return rows
@@ -169,11 +166,6 @@ def fit_pullback(
     rows = _center_rows(dataset, centers)
     advanced = PointSet(dataset.x_next[rows].copy(), indices=dataset.k[rows])
     targets = dataset.y_next[rows]
-    mindist = _min_pairwise(advanced.points)
-    if mindist == 0.0:
-        raise DegenerateInputError(
-            "advanced centers must be pairwise distinct for the pullback fit"
-        )
     K = kernel_matrix(kernel, advanced, advanced)
     report = solve_spd(K, targets, jitter_policy)
     return KoopmanEstimate(
@@ -206,9 +198,7 @@ def fit_umf(
     if g_at_centers is None:
         g = _outputs_at_centers(dataset, centers)
     else:
-        g = np.asarray(g_at_centers, dtype=float)
-        if g.ndim == 1:
-            g = g[:, None]
+        g = as_points(g_at_centers)
         if g.shape[0] != len(centers):
             raise InvalidArgumentError(
                 f"g_at_centers must have {len(centers)} rows, got {g.shape[0]}"
@@ -217,10 +207,9 @@ def fit_umf(
     C = kernel_matrix(kernel, centers, advanced)
     first = solve_spd(K, g, jitter_policy)
     second = solve_spd(K, C.T @ first.coefficients, jitter_policy)
-    report = SolveReport(
+    report = replace(
+        first,
         coefficients=second.coefficients,
-        condition_number=first.condition_number,
-        min_eigenvalue=first.min_eigenvalue,
         jitter_used=max(first.jitter_used, second.jitter_used),
     )
     return KoopmanEstimate(
@@ -236,23 +225,14 @@ def fit_umf(
 def _outputs_at_centers(dataset: TrajectoryDataset, centers: PointSet) -> np.ndarray:
     """Observable values at the centers themselves: y at time k_i is the
     output attached to the record advanced from time k_i - 1."""
-    lookup = {int(t): i for i, t in enumerate(dataset.k)}
-    values = []
-    for t in centers.indices:
-        prev = lookup.get(int(t) - 1)
-        if prev is None:
-            raise DegenerateInputError(
-                f"no output measurement available at time {int(t)}: "
-                f"record {int(t) - 1} is missing (pass g_at_centers explicitly)"
-            )
-        values.append(dataset.y_next[prev])
-    return np.array(values)
-
-
-def _min_pairwise(points: np.ndarray) -> float:
-    if points.shape[0] < 2:
-        return float("inf")
-    return float(pdist(points).min())
+    rows, found = _rows_at_times(dataset, centers.indices - 1)
+    if not found.all():
+        t = int(centers.indices[~found][0])
+        raise DegenerateInputError(
+            f"no output measurement available at time {t}: "
+            f"record {t - 1} is missing (pass g_at_centers explicitly)"
+        )
+    return dataset.y_next[rows]
 
 
 def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
@@ -263,8 +243,7 @@ def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
+    pts = np.atleast_2d(pts)
     base = (
         estimate.advanced_centers
         if estimate.mode is EstimateMode.PULLBACK
@@ -294,10 +273,7 @@ def empirical_risk(targets, predictions) -> float:
 
 def kernel_sections(kernel: KernelSpec, centers: PointSet, points) -> np.ndarray:
     """Basis-evaluation matrix: entry (i, j) is K(c_i, p_j)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return kernel_matrix(kernel, centers.points, pts)
+    return kernel_matrix(kernel, centers, np.atleast_2d(points))
 
 
 def edmd_fit(

@@ -72,7 +72,8 @@ def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
     jitter, or ``"auto"`` which retries with jitter escalating through
     {1e-12, 1e-10, 1e-8} * trace(K)/M after a failure at zero.
     """
-    K = _check_symmetric(K)
+    diag = spectral_diagnostics(K)
+    K = np.asarray(K, dtype=float)
     b = np.asarray(rhs, dtype=float)
     squeeze = b.ndim == 1
     if squeeze:
@@ -98,11 +99,6 @@ def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
             raise InvalidArgumentError("fixed jitter must be nonnegative")
         ladder = [fixed]
 
-    eigs = np.linalg.eigvalsh(K)
-    lam_min = float(eigs[0])
-    lam_max = float(eigs[-1])
-    cond = lam_max / lam_min if lam_min > 0 else float("inf")
-
     for lam in ladder:
         Kreg = K if lam == 0.0 else K + lam * np.eye(K.shape[0])
         try:
@@ -114,11 +110,11 @@ def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
             alpha = alpha[:, 0]
         return SolveReport(
             coefficients=alpha,
-            condition_number=cond,
-            min_eigenvalue=lam_min,
+            condition_number=diag.cond,
+            min_eigenvalue=diag.lambda_min,
             jitter_used=lam,
         )
     raise NotPositiveDefiniteError(
-        f"Cholesky factorization failed (min eigenvalue {lam_min:.3e}, "
+        f"Cholesky factorization failed (min eigenvalue {diag.lambda_min:.3e}, "
         f"jitter ladder exhausted under policy {jitter_policy!r})"
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import CsvFormatError, DegenerateInputError, InvalidArgumentError
 from .geometry import subselect_centers
 from .kernels import KernelSpec
 from .koopman import KoopmanEstimate, TrajectoryDataset, fit_pullback
-from .linsys import SolveReport
 
 log = logging.getLogger(__name__)
 
@@ -233,22 +232,8 @@ def fit_kinematics(
         len(centers),
         estimate.diagnostics.condition_number,
     )
-    per_component = []
-    for j in range(2):
-        report = SolveReport(
-            coefficients=estimate.alpha[:, j : j + 1],
-            condition_number=estimate.diagnostics.condition_number,
-            min_eigenvalue=estimate.diagnostics.min_eigenvalue,
-            jitter_used=estimate.diagnostics.jitter_used,
-        )
-        per_component.append(
-            KoopmanEstimate(
-                mode=estimate.mode,
-                centers=estimate.centers,
-                advanced_centers=estimate.advanced_centers,
-                alpha=report.coefficients,
-                kernel=kernel,
-                diagnostics=report,
-            )
-        )
-    return per_component[0], per_component[1]
+    g1, g2 = (
+        replace(estimate, alpha=a, diagnostics=replace(estimate.diagnostics, coefficients=a))
+        for a in (estimate.alpha[:, 0:1], estimate.alpha[:, 1:2])
+    )
+    return g1, g2

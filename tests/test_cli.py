@@ -232,6 +232,25 @@ def test_threads_do_not_change_output(tmp_path):
     assert (a / "conditioning.csv").read_bytes() == (b / "conditioning.csv").read_bytes()
 
 
+def test_threads_below_one_is_a_config_error(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "--threads", "-3", "conditioning"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "conditioning.csv").exists()
+
+
+def test_fit_nan_output_is_a_numerical_failure(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    path = tmp_path / "trajectory.csv"
+    comments, header, rows = _read_table(path)
+    rows[5][header.index("y_next")] = "nan"
+    lines = [f"# {k} = {v}" for k, v in comments.items()] + [",".join(header)]
+    path.write_text("\n".join(lines + [",".join(r) for r in rows]) + "\n")
+    assert main(["--out", str(tmp_path), "fit"]) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "estimate.csv").exists()
+    assert not (tmp_path / "fit_surface.csv").exists()
+
+
 def test_default_eta_constant_matches_config():
     from kernelkoop.cli import DEFAULTS
 

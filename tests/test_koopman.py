@@ -68,6 +68,21 @@ def test_dataset_from_records_and_validation():
         TrajectoryDataset(k=[0, 1], x=[[0.0]], x_next=[[0.1], [0.2]], y_next=[[1.0], [1.0]])
 
 
+@pytest.mark.parametrize("field", ["x", "x_next", "y_next"])
+def test_dataset_rejects_non_finite_values(field):
+    arrays = {"x": [[0.0], [0.1]], "x_next": [[0.1], [0.2]], "y_next": [[1.0], [2.0]]}
+    arrays[field][1][0] = math.nan
+    with pytest.raises(DegenerateInputError):
+        TrajectoryDataset(k=[0, 1], **arrays)
+
+
+def test_dataset_rejects_duplicate_time_indices():
+    with pytest.raises(DegenerateInputError):
+        TrajectoryDataset(
+            k=[3, 5, 3], x=[0.0, 0.1, 0.2], x_next=[0.1, 0.2, 0.3], y_next=[1.0, 2.0, 3.0]
+        )
+
+
 def test_sequential_dataset_chains():
     ds = simulate(PendulumConfig(steps=50))
     assert np.array_equal(ds.x_next[:-1], ds.x[1:])
