@@ -330,10 +330,12 @@ def cmd_conditioning(args, cfg) -> int:
     dataset = simulate(_pendulum_config(cfg))
 
     cells = [(kernel, spacing) for kernel in kernels for spacing in spacings]
+    # every kernel's cells share one subselection per distinct spacing
+    centers_at = {s: subselect_centers(dataset, s) for s in dict.fromkeys(spacings)}
 
     def cell(item):
         kernel, spacing = item
-        centers = subselect_centers(dataset, spacing)
+        centers = centers_at[spacing]
         if len(centers) < 2:
             return None
         K = kernel_matrix(kernel, centers, centers)

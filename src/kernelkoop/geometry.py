@@ -10,6 +10,12 @@ from scipy.spatial.distance import cdist, pdist
 from .errors import DegenerateInputError, InvalidArgumentError
 from .kernels import PointSet, as_points
 
+# States gated per block by `subselect_centers`.
+_BLOCK = 256
+# Cap on the entries of one distance temporary: 8 MiB of float64, whatever
+# the number of states or centers.
+_MAX_ENTRIES = 1 << 20
+
 
 def _states_and_indices(data) -> tuple[np.ndarray, np.ndarray]:
     """Extract (states, time indices) from a trajectory-like object.
@@ -40,6 +46,14 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
 
     ``seed_centers`` pre-populates the accepted set (used to build nested
     center sets); seeded points are returned first, in their given order.
+
+    The states are gated a block at a time, and the result is exactly that
+    of gating them one by one.  The accepted set only grows, so a state
+    within ``eta`` of a center accepted before its block stays rejected
+    whatever the block accepts: one ``cdist`` against those centers drops
+    it.  The survivors then pass the same strict gate, in trajectory order,
+    against the centers accepted earlier in the block.  Every distance is
+    computed by ``scipy.spatial.distance.cdist``.
     """
     if not eta > 0:
         raise InvalidArgumentError(f"eta must be > 0, got {eta}")
@@ -54,22 +68,32 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
             )
         if seed_centers.indices is None:
             raise InvalidArgumentError("seed centers must carry trajectory indices")
-        accepted = seed_centers.points.copy()
-        kept_idx = [int(i) for i in seed_centers.indices]
-    else:
-        accepted = np.empty((0, states.shape[1]))
-        kept_idx = []
 
-    for x, k in zip(states, indices):
-        if accepted.shape[0] == 0:
-            accepted = x[None, :]
-            kept_idx.append(int(k))
-            continue
-        dists = np.linalg.norm(accepted - x[None, :], axis=1)
-        if np.all(dists > eta):
-            accepted = np.vstack([accepted, x[None, :]])
-            kept_idx.append(int(k))
-    return PointSet(accepted, indices=np.array(kept_idx, dtype=int))
+    m, d = states.shape
+    n = 0 if seed_centers is None else len(seed_centers)
+    points = np.empty((n + m, d))
+    kept = np.empty(n + m, dtype=int)
+    if n:
+        points[:n] = seed_centers.points
+        kept[:n] = seed_centers.indices
+
+    chunk = _MAX_ENTRIES // _BLOCK
+    for start in range(0, m, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, m))
+        for lo in range(0, n, chunk):
+            far = cdist(states[rows], points[lo:min(lo + chunk, n)]) > eta
+            rows = rows[far.all(axis=1)]
+        far = cdist(states[rows], states[rows]) > eta
+        alive = np.ones(rows.size, dtype=bool)
+        for i in range(rows.size):
+            if alive[i]:
+                alive[i + 1:] &= far[i, i + 1:]
+        rows = rows[alive]
+        points[n:n + rows.size] = states[rows]
+        kept[n:n + rows.size] = indices[rows]
+        n += rows.size
+    # copies, so the result does not hold on to the (seeds + m)-row buffers
+    return PointSet(points[:n].copy(), indices=kept[:n].copy())
 
 
 def nested_center_sets(trajectory, etas: Sequence[float]) -> list[PointSet]:
@@ -101,7 +125,10 @@ def fill_distance(centers, reference) -> float:
         raise InvalidArgumentError(
             f"dimension mismatch: centers {c.shape[1]}, reference {r.shape[1]}"
         )
-    return float(cdist(r, c).min(axis=1).max())
+    # a chunk of reference rows at a time; the max of row minima is the same
+    rows = max(1, _MAX_ENTRIES // c.shape[0])
+    fills = [cdist(r[lo:lo + rows], c).min(axis=1).max() for lo in range(0, r.shape[0], rows)]
+    return float(np.max(fills))
 
 
 def separation(centers) -> float:
@@ -131,7 +158,8 @@ def eta_for_center_count(trajectory, count: int, max_iter: int = 200) -> float:
         return len(subselect_centers(trajectory, eta))
 
     lo = 1e-12
-    hi = float(cdist(states, states).max()) + 1.0
+    # the bounding-box diagonal bounds the diameter of the states
+    hi = float(np.linalg.norm(states.max(axis=0) - states.min(axis=0))) + 1.0
     if kept(lo) < count:
         raise DegenerateInputError(
             f"trajectory has repeated states; cannot reach {count} centers"

@@ -47,3 +47,16 @@ def write_marker_csv(path, frames):
         cells = [str(f.t)] + [repr(float(v)) for m in (f.hip, f.knee, f.ankle) for v in m]
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
+
+
+def reference_subselect(states, eta, seed=None):
+    """The greedy gate one state at a time, with one norm per state."""
+    if seed is None:
+        accepted, kept = np.empty((0, states.shape[1])), []
+    else:
+        accepted, kept = seed.points.copy(), [int(i) for i in seed.indices]
+    for k, x in enumerate(states):
+        if accepted.shape[0] == 0 or np.all(np.linalg.norm(accepted - x[None, :], axis=1) > eta):
+            accepted = np.vstack([accepted, x[None, :]])
+            kept.append(k)
+    return accepted, np.array(kept, dtype=int)

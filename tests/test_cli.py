@@ -2,6 +2,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from conftest import synthetic_gait_frames, write_marker_csv
+from kernelkoop import cli, subselect_centers
 from kernelkoop.cli import ETA_37_CENTERS, main
 from kernelkoop.io import read_estimate_csv, read_trajectory_csv
 
@@ -226,10 +227,25 @@ def test_missing_trajectory_file_is_io_error(tmp_path):
 
 
 def test_threads_do_not_change_output(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["--out", str(a), "--threads", "1", "conditioning"]) == 0
     assert main(["--out", str(b), "--threads", "4", "conditioning"]) == 0
+    assert main(["--out", str(c), "--threads", "2", "conditioning"]) == 0
     assert (a / "conditioning.csv").read_bytes() == (b / "conditioning.csv").read_bytes()
+    assert (a / "conditioning.csv").read_bytes() == (c / "conditioning.csv").read_bytes()
+
+
+def test_conditioning_subselects_once_per_distinct_spacing(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(dataset, eta, *args, **kwargs):
+        calls.append(eta)
+        return subselect_centers(dataset, eta, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "subselect_centers", counting)
+    assert main(["--out", str(tmp_path), "conditioning"]) == 0
+    spacings = [float(s) for s in cli.DEFAULTS["conditioning"]["spacings"].split(",")]
+    assert sorted(calls) == sorted(set(spacings))
 
 
 def test_threads_below_one_is_a_config_error(tmp_path, capsys):

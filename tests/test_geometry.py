@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from conftest import reference_subselect
 from kernelkoop import (
     DegenerateInputError,
     InvalidArgumentError,
@@ -13,6 +17,18 @@ from kernelkoop import (
     simulate,
     subselect_centers,
 )
+from kernelkoop import geometry
+
+MiB = 2**20
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_subselect_hand_trace():
@@ -130,3 +146,36 @@ def test_subselect_accepts_pointset_with_indices():
     ps = PointSet(np.array([0.0, 0.3, 0.7, 1.5]), indices=np.array([10, 11, 12, 13]))
     centers = subselect_centers(ps, 0.5)
     assert centers.indices.tolist() == [10, 12, 13]
+
+
+def test_subselect_chunks_the_center_axis(monkeypatch):
+    # seven centers per cdist, so every block is gated over several chunks
+    monkeypatch.setattr(geometry, "_MAX_ENTRIES", 7 * geometry._BLOCK)
+    rng = np.random.default_rng(17)
+    states = np.cumsum(rng.normal(scale=0.3, size=(3 * geometry._BLOCK + 40, 3)), axis=0)
+    seed_points, seed_idx = reference_subselect(states[:200], 1.5)
+    seed = PointSet(seed_points, indices=seed_idx)
+    for s in (None, seed):
+        centers = subselect_centers(states, 0.5, seed_centers=s)
+        points, kept = reference_subselect(states, 0.5, s)
+        assert len(centers) > 7
+        assert centers.points.tobytes() == points.tobytes()
+        assert centers.indices.tolist() == kept.tolist()
+
+
+def test_eta_for_center_count_memory_does_not_grow_with_m():
+    # an m x m distance matrix at m = 4000 alone is 122 MiB
+    dataset = simulate(PendulumConfig(steps=4000))
+    eta, peak = _peak_bytes(eta_for_center_count, dataset, 37)
+    assert len(subselect_centers(dataset, eta)) == 37
+    assert peak < 16 * MiB
+
+
+def test_fill_distance_is_exact_and_chunked():
+    # the full 10^4 x 600 distance matrix would be 46 MiB
+    rng = np.random.default_rng(21)
+    reference = rng.normal(size=(10_000, 2))
+    centers = rng.normal(size=(600, 2))
+    fill, peak = _peak_bytes(fill_distance, centers, reference)
+    assert fill == cdist(reference, centers).min(axis=1).max()
+    assert peak < 16 * MiB
