@@ -252,7 +252,7 @@ def cmd_fit(args, cfg) -> int:
     kio.write_rows_csv(
         out_dir / "fit_surface.csv",
         header,
-        [list(grid[i]) + list(values[i]) for i in range(grid.shape[0])],
+        np.column_stack([grid, values]),
         params,
     )
     kio.write_rows_csv(
@@ -464,7 +464,7 @@ def cmd_mocap(args, cfg) -> int:
     kio.write_rows_csv(
         out_dir / "mocap_surface.csv",
         ["theta1", "theta2", "G1_hat", "G2_hat"],
-        [[grid[i, 0], grid[i, 1], v1[i], v2[i]] for i in range(grid.shape[0])],
+        np.column_stack([grid, v1, v2]),
         params,
     )
 

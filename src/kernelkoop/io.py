@@ -4,12 +4,22 @@ Every file starts with '# key = value' comment lines recording the
 configuration that produced it.  Floats are written with shortest
 round-trip repr, so rereading a file reproduces the arrays bit for bit
 and reruns produce byte-identical files.
+
+Tables go a column at a time.  The writer formats each column in one
+pass (ints by ``str``, floats by ``repr``, strings as they are) and
+joins the columns row-wise.  The readers parse the whole body with one
+``np.loadtxt`` call, which converts each float field with
+``PyOS_string_to_double``: the same correctly rounded conversion that
+``float()`` uses, so a file written with ``repr`` reads back to the same
+bits.  The readers return C-contiguous arrays, int64 for ``k``/``idx``
+and float64 for the rest.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -50,27 +60,44 @@ def comment_block(params: Mapping[str, object] | None) -> str:
 
 
 def write_rows_csv(path, header: Sequence[str], rows, params=None) -> None:
-    """Generic table writer: comments, one header line, then data rows."""
-    body = "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
+    """Generic table writer: comments, one header line, then data rows.
+
+    ``rows`` is a sequence of rows or a 2-D array.  Each column holds one
+    kind of value: ints, floats or preformatted strings.
+    """
+    columns = rows.T if isinstance(rows, np.ndarray) else list(zip(*rows))
+    _write_columns(path, header, columns, params)
+
+
+def _write_columns(path, header: Sequence[str], columns, params) -> None:
+    cells = [_column_cells(column) for column in columns]
+    body = "".join([",".join(row) + "\n" for row in zip(*cells)])
     atomic_write_text(path, comment_block(params) + ",".join(header) + "\n" + body)
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return fmt(value)
+def _column_cells(column):
+    """The cells of one column: ints by ``str``, floats by ``repr``, strings as given."""
+    values = np.asarray(column)
+    if values.dtype.kind in "iu":
+        return map(str, values.tolist())
+    if values.dtype.kind == "f":
+        return map(repr, values.tolist())
+    if values.dtype.kind == "U":
+        return values.tolist()
+    raise TypeError(f"cannot write a column of dtype {values.dtype}")
 
 
-def _read_table(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Parse (comments, header, rows) from a CSV written by this module."""
+def _read_table(path) -> tuple[dict[str, str], list[str], np.ndarray, np.ndarray]:
+    """Parse (comments, header, first column, other columns) from a CSV of this module.
+
+    The '#' lines before the header and the header itself are scanned line
+    by line; the body is parsed by one ``np.loadtxt`` into an int64 first
+    column and an (n, ncols - 1) float64 block.  A non-integer first cell,
+    a non-number, a missing or an extra cell raises CsvFormatError.
+    """
     comments: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[list[str]] = []
     with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
+        for line in fh:
             if not line.strip():
                 continue
             if line.startswith("#"):
@@ -79,14 +106,25 @@ def _read_table(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
                     key, _, value = body.partition("=")
                     comments[key.strip()] = value.strip()
                 continue
-            cells = [c.strip() for c in line.split(",")]
-            if header is None:
-                header = cells
-            else:
-                rows.append(cells)
-    if header is None:
-        raise CsvFormatError(f"{path}: no header line found")
-    return comments, header, rows
+            header = [c.strip() for c in line.split(",")]
+            break
+        else:
+            raise CsvFormatError(f"{path}: no header line found")
+        dtype = np.dtype([("first", np.int64), ("rest", np.float64, (len(header) - 1,))])
+        try:
+            with warnings.catch_warnings():
+                # a header without rows is reported by each reader
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # numpy 1.x reads "1.0" into an int column with only this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(
+                    (line for line in fh if line.strip()), dtype=dtype, delimiter=",", ndmin=1
+                )
+        except (ValueError, DeprecationWarning) as exc:
+            raise CsvFormatError(f"{path}: bad row ({exc})") from None
+    return (
+        comments, header, np.ascontiguousarray(table["first"]), np.ascontiguousarray(table["rest"])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +140,13 @@ def write_trajectory_csv(path, dataset: TrajectoryDataset, params=None) -> None:
         + [f"x{i + 1}_next" for i in range(d)]
         + (["y_next"] if n == 1 else [f"y{i + 1}_next" for i in range(n)])
     )
-    rows = []
-    for i in range(len(dataset)):
-        row = [int(dataset.k[i])]
-        row += list(dataset.x[i])
-        row += list(dataset.x_next[i])
-        row += list(dataset.y_next[i])
-        rows.append(row)
-    write_rows_csv(path, header, rows, params)
+    columns = [dataset.k, *dataset.x.T, *dataset.x_next.T, *dataset.y_next.T]
+    _write_columns(path, header, columns, params)
 
 
 def read_trajectory_csv(path) -> TrajectoryDataset:
-    _, header, rows = _read_table(path)
-    if not rows:
+    _, header, k, values = _read_table(path)
+    if not len(k):
         raise CsvFormatError(f"{path}: no trajectory records")
     if header[0] != "k":
         raise CsvFormatError(f"{path}: first column must be 'k', got {header[0]!r}")
@@ -123,15 +155,13 @@ def read_trajectory_csv(path) -> TrajectoryDataset:
     out_cols = [c for c in header if c.startswith("y")]
     if not state_cols or len(state_cols) != len(next_cols) or not out_cols:
         raise CsvFormatError(f"{path}: unrecognized trajectory header {header}")
-    idx = {c: header.index(c) for c in header}
-    try:
-        k = np.array([int(r[0]) for r in rows])
-        x = np.array([[float(r[idx[c]]) for c in state_cols] for r in rows])
-        x_next = np.array([[float(r[idx[c]]) for c in next_cols] for r in rows])
-        y_next = np.array([[float(r[idx[c]]) for c in out_cols] for r in rows])
-    except (ValueError, IndexError) as exc:
-        raise CsvFormatError(f"{path}: bad trajectory row ({exc})") from None
-    return TrajectoryDataset(k=k, x=x, x_next=x_next, y_next=y_next)
+
+    def block(cols):
+        return np.ascontiguousarray(values[:, [header.index(c) - 1 for c in cols]])
+
+    return TrajectoryDataset(
+        k=k, x=block(state_cols), x_next=block(next_cols), y_next=block(out_cols)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +173,15 @@ def write_pointset_csv(path, points: PointSet, params=None) -> None:
     indices = (
         points.indices if points.indices is not None else np.arange(len(points))
     )
-    rows = [[int(indices[i])] + list(points.points[i]) for i in range(len(points))]
-    write_rows_csv(path, header, rows, params)
+    _write_columns(path, header, [indices, *points.points.T], params)
 
 
 def read_pointset_csv(path) -> PointSet:
-    _, header, rows = _read_table(path)
-    if not rows:
+    _, header, idx, pts = _read_table(path)
+    if not len(idx):
         raise CsvFormatError(f"{path}: empty point set")
     if header[0] != "idx":
         raise CsvFormatError(f"{path}: first column must be 'idx', got {header[0]!r}")
-    try:
-        idx = np.array([int(r[0]) for r in rows])
-        pts = np.array([[float(v) for v in r[1:]] for r in rows])
-    except ValueError as exc:
-        raise CsvFormatError(f"{path}: bad point row ({exc})") from None
     return PointSet(pts, indices=idx)
 
 
@@ -189,19 +213,18 @@ def write_estimate_csv(path, estimate: KoopmanEstimate, params=None) -> None:
         if estimate.centers.indices is not None
         else np.arange(len(estimate.centers))
     )
-    rows = []
-    for i in range(len(estimate.centers)):
-        row = [int(indices[i])]
-        row += list(estimate.centers.points[i])
-        row += list(estimate.advanced_centers.points[i])
-        row += list(estimate.alpha[i])
-        rows.append(row)
-    write_rows_csv(path, header, rows, meta)
+    columns = [
+        indices,
+        *estimate.centers.points.T,
+        *estimate.advanced_centers.points.T,
+        *estimate.alpha.T,
+    ]
+    _write_columns(path, header, columns, meta)
 
 
 def read_estimate_csv(path) -> KoopmanEstimate:
-    comments, header, rows = _read_table(path)
-    if not rows:
+    comments, header, idx, data = _read_table(path)
+    if not len(idx):
         raise CsvFormatError(f"{path}: estimate file has no centers")
     for key in ("mode", "kernel.family"):
         if key not in comments:
@@ -210,14 +233,9 @@ def read_estimate_csv(path) -> KoopmanEstimate:
     n = sum(1 for c in header if c.startswith("alpha"))
     if d == 0 or n == 0 or len(header) != 1 + 2 * d + n:
         raise CsvFormatError(f"{path}: unrecognized estimate header {header}")
-    try:
-        idx = np.array([int(r[0]) for r in rows])
-        data = np.array([[float(v) for v in r[1:]] for r in rows])
-    except ValueError as exc:
-        raise CsvFormatError(f"{path}: bad estimate row ({exc})") from None
-    centers = PointSet(data[:, :d], indices=idx)
-    advanced = PointSet(data[:, d : 2 * d], indices=idx)
-    alpha = data[:, 2 * d :]
+    centers = PointSet(np.ascontiguousarray(data[:, :d]), indices=idx)
+    advanced = PointSet(np.ascontiguousarray(data[:, d : 2 * d]), indices=idx)
+    alpha = np.ascontiguousarray(data[:, 2 * d :])
     kernel = KernelSpec.from_config(
         {
             "family": comments["kernel.family"],

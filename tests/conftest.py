@@ -60,3 +60,18 @@ def reference_subselect(states, eta, seed=None):
             accepted = np.vstack([accepted, x[None, :]])
             kept.append(k)
     return accepted, np.array(kept, dtype=int)
+
+
+def reference_cell(value) -> str:
+    """One table cell as the per-cell writer formatted it."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def reference_table(header, rows) -> str:
+    """Header line and data rows, formatted one cell at a time."""
+    body = "".join(",".join(reference_cell(v) for v in row) + "\n" for row in rows)
+    return ",".join(header) + "\n" + body

@@ -267,6 +267,18 @@ def test_fit_nan_output_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "fit_surface.csv").exists()
 
 
+def test_fit_trajectory_with_an_extra_cell_is_an_io_error(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    lines[-1] += ",999"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "fit", "--trajectory", str(bad)]) == 4
+    assert "bad.csv" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_default_eta_constant_matches_config():
     from kernelkoop.cli import DEFAULTS
 

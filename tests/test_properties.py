@@ -1,5 +1,5 @@
 """Property tests of the shared paths: Gram assembly, batch predict, time-index lookup,
-and the greedy center gate."""
+the greedy center gate and the CSV round trips."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist
 
-from conftest import reference_subselect
+from conftest import reference_subselect, reference_table
 from kernelkoop import (
+    EstimateMode,
     KernelSpec,
+    KoopmanEstimate,
     PendulumConfig,
     PointSet,
+    SolveReport,
     TrajectoryDataset,
     eval_kernel,
     fit_pullback,
@@ -22,6 +25,15 @@ from kernelkoop import (
     subselect_centers,
 )
 from kernelkoop.geometry import _BLOCK
+from kernelkoop.io import (
+    read_estimate_csv,
+    read_pointset_csv,
+    read_trajectory_csv,
+    write_estimate_csv,
+    write_pointset_csv,
+    write_rows_csv,
+    write_trajectory_csv,
+)
 from kernelkoop.koopman import _rows_at_times
 
 FEW = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -125,3 +137,114 @@ def test_nested_levels_are_prefixes(case, etas):
     for small, large in zip(sets, sets[1:]):
         assert np.array_equal(large.points[: len(small)], small.points)
         assert np.array_equal(large.indices[: len(small)], small.indices)
+
+
+# Floats whose text form is easy to get wrong: signed zero, subnormals, the
+# extremes of float64 and values that repr prints in e-notation.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e-05, 1e16, 0.1, 1 / 3]
+finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _float_block(m, n):
+    return arrays(np.float64, (m, n), elements=finite)
+
+
+@st.composite
+def trajectories(draw):
+    m, d, n = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    k = draw(st.lists(st.integers(-2**62, 2**62), min_size=m, max_size=m, unique=True))
+    return TrajectoryDataset(
+        k=np.array(k), x=draw(_float_block(m, d)), x_next=draw(_float_block(m, d)),
+        y_next=draw(_float_block(m, n)),
+    )
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _assert_table_matches_oracle(path, rows):
+    """The file past its comment block is what the per-cell formatter writes."""
+    table = "".join(ln for ln in path.read_text().splitlines(True) if not ln.startswith("#"))
+    assert table == reference_table(table.split("\n", 1)[0].split(","), rows)
+
+
+@FEW
+@given(trajectories())
+def test_trajectory_csv_round_trip_is_bit_exact(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("traj") / "trajectory.csv"
+    write_trajectory_csv(path, ds, {"command": "simulate"})
+    back = read_trajectory_csv(path)
+    for name in ("k", "x", "x_next", "y_next"):
+        assert _bits(getattr(back, name)) == _bits(getattr(ds, name)), name
+    _assert_table_matches_oracle(path, [
+        [int(ds.k[i])] + list(ds.x[i]) + list(ds.x_next[i]) + list(ds.y_next[i])
+        for i in range(len(ds))
+    ])
+
+
+@FEW
+@given(st.tuples(st.integers(1, 10), st.integers(1, 3)).flatmap(
+    lambda shape: st.tuples(_float_block(*shape), st.lists(
+        st.integers(0, 2**62), min_size=shape[0], max_size=shape[0]))
+))
+def test_pointset_csv_round_trip_is_bit_exact(tmp_path_factory, case):
+    points, indices = case
+    ps = PointSet(points, indices=np.array(indices))
+    path = tmp_path_factory.mktemp("points") / "points.csv"
+    write_pointset_csv(path, ps)
+    back = read_pointset_csv(path)
+    assert _bits(back.points) == _bits(ps.points)
+    assert _bits(back.indices) == _bits(ps.indices)
+    _assert_table_matches_oracle(path, [[int(i)] + list(p) for i, p in zip(ps.indices, ps.points)])
+
+
+@FEW
+@given(st.tuples(st.integers(1, 10), st.integers(1, 3), st.integers(1, 2)).flatmap(
+    lambda s: st.tuples(_float_block(s[0], s[1]), _float_block(s[0], s[1]),
+                        _float_block(s[0], s[2]), st.lists(finite, min_size=3, max_size=3))
+))
+def test_estimate_csv_round_trip_is_bit_exact(tmp_path_factory, case):
+    centers, advanced, alpha, (cond, lam, jitter) = case
+    idx = np.arange(len(centers)) * 3
+    est = KoopmanEstimate(
+        mode=EstimateMode.PULLBACK,
+        centers=PointSet(centers, indices=idx),
+        advanced_centers=PointSet(advanced, indices=idx),
+        alpha=alpha,
+        kernel=KernelSpec("wendland_c4", support_scale=0.7),
+        diagnostics=SolveReport(alpha, cond, lam, jitter),
+    )
+    path = tmp_path_factory.mktemp("estimate") / "estimate.csv"
+    write_estimate_csv(path, est, {"command": "fit"})
+    back = read_estimate_csv(path)
+    assert _bits(back.centers.indices) == _bits(idx)
+    assert _bits(back.centers.points) == _bits(est.centers.points)
+    assert _bits(back.advanced_centers.points) == _bits(est.advanced_centers.points)
+    assert _bits(back.alpha) == _bits(est.alpha)
+    assert back.kernel == est.kernel and back.mode is est.mode
+    report = (back.diagnostics.condition_number, back.diagnostics.min_eigenvalue,
+              back.diagnostics.jitter_used)
+    assert np.array(report).tobytes() == np.array([cond, lam, jitter]).tobytes()
+    rows = [[int(i)] + list(c) + list(a) + list(w)
+            for i, c, a, w in zip(idx, est.centers.points, est.advanced_centers.points, est.alpha)]
+    _assert_table_matches_oracle(path, rows)
+
+
+@FEW
+@given(st.integers(0, 8).flatmap(lambda m: st.tuples(
+    st.lists(st.sampled_from(["a", "matern(1.0)", "nan", ""]), min_size=m, max_size=m),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=m, max_size=m),
+    st.lists(finite, min_size=m, max_size=m),
+    _float_block(m, 2),
+)))
+def test_row_writer_matches_the_per_cell_formatter(tmp_path_factory, case):
+    labels, ints, floats, block = case
+    path = tmp_path_factory.mktemp("rows") / "table.csv"
+    header = ["label", "n", "value", "np_value", "u", "v"]
+    rows = [[s, i, f, np.float64(f), *b] for s, i, f, b in zip(labels, ints, floats, block)]
+    write_rows_csv(path, header, rows, {"command": "t"})
+    assert path.read_text() == "# command = t\n" + reference_table(header, rows)
+    write_rows_csv(path, ["u", "v"], block)
+    assert path.read_text() == reference_table(["u", "v"], block.tolist())
