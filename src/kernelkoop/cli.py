@@ -1,9 +1,11 @@
 """Experiment driver: simulate, fit, and the convergence/conditioning studies.
 
 Every subcommand reads a flat INI config (sections per module, all
-defaults documented in --help), writes CSV artifacts with a provenance
-comment block, and is deterministic: rerunning with the same inputs
-produces byte-identical files.  Plotting is left to external tools.
+defaults documented in --help) and computes its CSV artifacts; `main`
+writes them, each with a provenance comment block, only once the command
+has succeeded, so a failed command leaves no files behind.  Reruns with
+the same inputs produce byte-identical files.  Plotting is left to
+external tools.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
 """
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .geometry import fill_distance, nested_center_sets, separation, subselect_centers
 from .kernels import KernelSpec, kernel_matrix
-from .koopman import fit_pullback, predict
+from .koopman import KoopmanEstimate, TrajectoryDataset, fit_pullback, predict
 from .linsys import spectral_diagnostics
 from .mocap import extract_angles, fit_kinematics, read_marker_csv
 
@@ -93,7 +95,8 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    # '[]' is no valid header, so '[DEFAULT]' is an ordinary, unknown section
+    parser = configparser.ConfigParser(default_section="")
     read = parser.read(path)
     if not read:
         raise OSError(f"config file not found: {path}")
@@ -116,13 +119,16 @@ def _float(cfg, section: str, key: str) -> float:
         ) from None
 
 
-def _int(cfg, section: str, key: str) -> int:
+def _count(cfg, section: str, key: str) -> int:
     try:
-        return int(cfg[section][key])
+        value = int(cfg[section][key])
     except ValueError:
         raise ConfigError(
             f"[{section}] {key} must be an integer, got {cfg[section][key]!r}"
         ) from None
+    if value < 1:
+        raise ConfigError(f"[{section}] {key} must be at least 1, got {value}")
+    return value
 
 
 def _float_list(cfg, section: str, key: str) -> list[float]:
@@ -133,18 +139,6 @@ def _float_list(cfg, section: str, key: str) -> list[float]:
         return [float(tok) for tok in raw]
     except ValueError:
         raise ConfigError(f"[{section}] {key} contains a non-number") from None
-
-
-def _kernel_from_section(cfg, section: str) -> KernelSpec:
-    values = cfg[section]
-    return KernelSpec.from_config(
-        {
-            "family": values["family"],
-            "beta": values["beta"],
-            "support_scale": values["support_scale"],
-            "distance_convention": values["distance_convention"],
-        }
-    )
 
 
 def parse_kernel_token(token: str) -> KernelSpec:
@@ -164,7 +158,7 @@ def _pendulum_config(cfg) -> PendulumConfig:
         x1_0=_float(cfg, "dynamics", "x1_0"),
         x2_0=_float(cfg, "dynamics", "x2_0"),
         h=_float(cfg, "dynamics", "h"),
-        steps=_int(cfg, "dynamics", "steps"),
+        steps=_count(cfg, "dynamics", "steps"),
     )
 
 
@@ -176,12 +170,21 @@ def _kernel_params(kernel: KernelSpec) -> dict[str, str]:
     return {f"kernel.{k}": v for k, v in kernel.to_config().items()}
 
 
-def _run_cells(cells, fn, threads: int):
-    """Evaluate independent sweep cells, preserving schedule order."""
+def _sweep(cells, fn, threads: int, what: str) -> list:
+    """Rows of ``fn`` over independent sweep cells, in schedule order.
+
+    Each cell is ``(value, centers, ...)``.  A cell that keeps fewer than 2
+    centers is skipped with a warning naming ``what=value``.
+    """
+    for value, centers, *_ in cells:
+        if len(centers) < 2:
+            warning = f"warning: {what}={value} keeps fewer than 2 centers, row skipped"
+            print(warning, file=sys.stderr)
+    kept = [cell for cell in cells if len(cell[1]) >= 2]
     if threads <= 1:
-        return [fn(cell) for cell in cells]
+        return [fn(cell) for cell in kept]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
+        return list(pool.map(fn, kept))
 
 
 def _all_states(dataset) -> np.ndarray:
@@ -189,51 +192,79 @@ def _all_states(dataset) -> np.ndarray:
     return np.vstack([dataset.x, dataset.x_next[-1:]])
 
 
-def _surface_points(box_points: np.ndarray, grid_n: int, pad: float = 0.1) -> np.ndarray:
-    """Rectangular evaluation grid over a padded 2-D bounding box."""
-    if box_points.shape[1] != 2:
+_DIAGNOSTICS_HEADER = ["M", "fill_distance", "separation", "cond", "lambda_min", "jitter_used"]
+
+
+def _surface_and_diagnostics(estimates, states: np.ndarray, grid_n: int):
+    """The estimates on a grid over the first one's advanced centers, and its diagnostics row.
+
+    The grid_n x grid_n grid pads the centers' bounding box by a tenth of its
+    extent; the row follows _DIAGNOSTICS_HEADER, with the fill over ``states``.
+    """
+    first = estimates[0]
+    box = first.advanced_centers.points
+    if box.shape[1] != 2:
         raise InvalidArgumentError("surface grids require 2-D states")
-    lo = box_points.min(axis=0)
-    hi = box_points.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    lo = lo - pad * span
-    hi = hi + pad * span
-    u = np.linspace(lo[0], hi[0], grid_n)
-    v = np.linspace(lo[1], hi[1], grid_n)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    return np.column_stack([uu.ravel(), vv.ravel()])
+    lo, hi = box.min(axis=0), box.max(axis=0)
+    pad = 0.1 * np.where(hi > lo, hi - lo, 1.0)
+    axes = [np.linspace(a, b, grid_n) for a, b in zip(lo - pad, hi + pad)]
+    grid = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    surface = np.column_stack([grid, *(predict(e, grid) for e in estimates)])
+    centers, report = first.centers, first.diagnostics
+    row = [
+        len(centers),
+        fill_distance(centers, states),
+        separation(centers) if len(centers) > 1 else float("nan"),
+        report.condition_number,
+        report.min_eigenvalue,
+        report.jitter_used,
+    ]
+    return surface, row
+
+
+def _write_artifacts(out_dir: Path, artifacts: dict, params: dict) -> None:
+    """Write each artifact under its file name in ``out_dir``, with ``params`` as comments."""
+    for name, artifact in artifacts.items():
+        path = out_dir / name
+        if isinstance(artifact, TrajectoryDataset):
+            kio.write_trajectory_csv(path, artifact, params)
+        elif isinstance(artifact, KoopmanEstimate):
+            kio.write_estimate_csv(path, artifact, params)
+        else:
+            header, rows = artifact
+            kio.write_rows_csv(path, header, rows, params)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes nothing and returns (artifacts, params, summary),
+# the artifacts by file name, each a TrajectoryDataset, a KoopmanEstimate
+# or a (header, rows) table
 
 
-def cmd_simulate(args, cfg) -> int:
-    config = _pendulum_config(cfg)
-    dataset = simulate(config)
+def cmd_simulate(args, cfg) -> tuple[dict, dict, str]:
+    dataset = simulate(_pendulum_config(cfg))
+    params = {"command": "simulate", **_dynamics_params(cfg)}
     out = Path(args.out) / "trajectory.csv"
-    kio.write_trajectory_csv(out, dataset, {"command": "simulate", **_dynamics_params(cfg)})
-    print(f"wrote {out} ({len(dataset)} records)")
-    return 0
+    return {"trajectory.csv": dataset}, params, f"wrote {out} ({len(dataset)} records)"
 
 
-def cmd_fit(args, cfg) -> int:
-    if args.eta is not None:
-        cfg["fit"]["eta"] = str(args.eta)
-    if args.family is not None:
-        cfg["kernel"]["family"] = args.family
-    if args.beta is not None:
-        cfg["kernel"]["beta"] = str(args.beta)
-    kernel = _kernel_from_section(cfg, "kernel")
+def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
+    overrides = (
+        ("fit", "eta", args.eta), ("kernel", "family", args.family), ("kernel", "beta", args.beta)
+    )
+    for section, key, value in overrides:
+        if value is not None:
+            cfg[section][key] = str(value)
+    kernel = KernelSpec.from_config(cfg["kernel"])
     eta = _float(cfg, "fit", "eta")
-    grid_n = _int(cfg, "fit", "grid_n")
+    grid_n = _count(cfg, "fit", "grid_n")
     dataset = kio.read_trajectory_csv(_trajectory_path(args))
 
     centers = subselect_centers(dataset, eta)
     estimate = fit_pullback(dataset, centers, kernel, jitter_policy=cfg["fit"]["jitter"])
-    states = _all_states(dataset)
-    fill = fill_distance(centers, states)
-    sep = separation(centers) if len(centers) > 1 else float("nan")
+    surface, diagnostics = _surface_and_diagnostics([estimate], _all_states(dataset), grid_n)
+    n = estimate.output_dim
+    outputs = ["y_hat"] if n == 1 else [f"y{j + 1}_hat" for j in range(n)]
 
     params = {
         "command": "fit",
@@ -242,67 +273,34 @@ def cmd_fit(args, cfg) -> int:
         **_kernel_params(kernel),
         **_dynamics_params(cfg),
     }
-    out_dir = Path(args.out)
-    kio.write_estimate_csv(out_dir / "estimate.csv", estimate, params)
-
-    grid = _surface_points(estimate.advanced_centers.points, grid_n)
-    values = predict(estimate, grid)
-    n = values.shape[1]
-    header = ["z1", "z2"] + (["y_hat"] if n == 1 else [f"y{j + 1}_hat" for j in range(n)])
-    kio.write_rows_csv(
-        out_dir / "fit_surface.csv",
-        header,
-        np.column_stack([grid, values]),
-        params,
-    )
-    kio.write_rows_csv(
-        out_dir / "fit_diagnostics.csv",
-        ["M", "fill_distance", "separation", "cond", "lambda_min", "jitter_used"],
-        [[
-            len(centers),
-            fill,
-            sep,
-            estimate.diagnostics.condition_number,
-            estimate.diagnostics.min_eigenvalue,
-            estimate.diagnostics.jitter_used,
-        ]],
-        params,
-    )
-    print(
-        f"fit: M={len(centers)} fill={fill:.4f} cond={estimate.diagnostics.condition_number:.4e}"
-    )
-    return 0
+    artifacts = {
+        "estimate.csv": estimate,
+        "fit_surface.csv": (["z1", "z2", *outputs], surface),
+        "fit_diagnostics.csv": (_DIAGNOSTICS_HEADER, [diagnostics]),
+    }
+    m, fill, _, cond = diagnostics[:4]
+    return artifacts, params, f"fit: M={m} fill={fill:.4f} cond={cond:.4e}"
 
 
-def cmd_convergence(args, cfg) -> int:
-    kernel = _kernel_from_section(cfg, "kernel")
+def cmd_convergence(args, cfg) -> tuple[dict, dict, str]:
+    kernel = KernelSpec.from_config(cfg["kernel"])
     etas = _float_list(cfg, "convergence", "etas")
     floor = _float(cfg, "convergence", "error_floor")
     dataset = kio.read_trajectory_csv(_trajectory_path(args))
     states = _all_states(dataset)
 
-    center_sets = nested_center_sets(dataset, etas)
-
     def cell(pair):
         eta, centers = pair
-        if len(centers) < 2:
-            return None
         estimate = fit_pullback(dataset, centers, kernel)
         residual = predict(estimate, dataset.x_next) - dataset.y_next
         sup_error = float(np.max(np.linalg.norm(residual, axis=1)))
-        fill = fill_distance(centers, states)
-        return [kio.fmt(eta), kio.fmt(fill), len(centers), kio.fmt(sup_error)]
+        return [eta, fill_distance(centers, states), len(centers), sup_error]
 
-    results = _run_cells(list(zip(etas, center_sets)), cell, args.threads)
-    rows = []
-    for eta, row in zip(etas, results):
-        if row is None:
-            print(f"warning: eta={eta} keeps fewer than 2 centers, row skipped", file=sys.stderr)
-            continue
-        rows.append(row)
+    cells = list(zip(etas, nested_center_sets(dataset, etas)))
+    rows = _sweep(cells, cell, args.threads, "eta")
 
-    fills = np.array([float(r[1]) for r in rows])
-    errors = np.array([float(r[3]) for r in rows])
+    fills = np.array([r[1] for r in rows])
+    errors = np.array([r[3] for r in rows])
     usable = errors > floor
     if usable.sum() >= 2:
         slope, intercept = np.polyfit(np.log(fills[usable]), np.log(errors[usable]), 1)
@@ -315,51 +313,32 @@ def cmd_convergence(args, cfg) -> int:
         **_kernel_params(kernel),
         **_dynamics_params(cfg),
         "convergence.etas": cfg["convergence"]["etas"],
-        "loglog_slope": kio.fmt(slope) if slope == slope else "nan",
-        "loglog_intercept": kio.fmt(intercept) if intercept == intercept else "nan",
+        "loglog_slope": kio.fmt(slope),
+        "loglog_intercept": kio.fmt(intercept),
     }
-    out = Path(args.out) / "convergence.csv"
-    kio.write_rows_csv(out, ["eta", "fill_distance", "M", "sup_error"], rows, params)
-    print(f"convergence: {len(rows)} rows, log-log slope {slope:.3f}")
-    return 0
+    table = (["eta", "fill_distance", "M", "sup_error"], rows)
+    summary = f"convergence: {len(rows)} rows, log-log slope {slope:.3f}"
+    return {"convergence.csv": table}, params, summary
 
 
-def cmd_conditioning(args, cfg) -> int:
+def cmd_conditioning(args, cfg) -> tuple[dict, dict, str]:
     kernels = [parse_kernel_token(tok) for tok in cfg["conditioning"]["kernels"].split()]
+    if not kernels:
+        raise ConfigError("[conditioning] kernels must list at least one kernel")
     spacings = _float_list(cfg, "conditioning", "spacings")
     dataset = simulate(_pendulum_config(cfg))
 
-    cells = [(kernel, spacing) for kernel in kernels for spacing in spacings]
     # every kernel's cells share one subselection per distinct spacing
     centers_at = {s: subselect_centers(dataset, s) for s in dict.fromkeys(spacings)}
 
     def cell(item):
-        kernel, spacing = item
-        centers = centers_at[spacing]
-        if len(centers) < 2:
-            return None
-        K = kernel_matrix(kernel, centers, centers)
-        diag = spectral_diagnostics(K)
-        return [
-            kernel.label,
-            kio.fmt(kernel.beta),
-            kio.fmt(spacing),
-            len(centers),
-            kio.fmt(separation(centers)),
-            kio.fmt(diag.cond),
-            kio.fmt(diag.lambda_min),
-        ]
+        spacing, centers, kernel = item
+        diag = spectral_diagnostics(kernel_matrix(kernel, centers, centers))
+        row = [kernel.label, kernel.beta, spacing, len(centers), separation(centers)]
+        return row + [diag.cond, diag.lambda_min]
 
-    results = _run_cells(cells, cell, args.threads)
-    rows = []
-    for (kernel, spacing), row in zip(cells, results):
-        if row is None:
-            print(
-                f"warning: spacing={spacing} keeps fewer than 2 centers, row skipped",
-                file=sys.stderr,
-            )
-            continue
-        rows.append(row)
+    cells = [(s, centers_at[s], kernel) for kernel in kernels for s in spacings]
+    rows = _sweep(cells, cell, args.threads, "spacing")
 
     params = {
         "command": "conditioning",
@@ -367,18 +346,12 @@ def cmd_conditioning(args, cfg) -> int:
         "conditioning.kernels": cfg["conditioning"]["kernels"],
         "conditioning.spacings": cfg["conditioning"]["spacings"],
     }
+    header = ["kernel", "beta", "spacing", "M", "separation", "cond", "lambda_min"]
     out = Path(args.out) / "conditioning.csv"
-    kio.write_rows_csv(
-        out,
-        ["kernel", "beta", "spacing", "M", "separation", "cond", "lambda_min"],
-        rows,
-        params,
-    )
-    print(f"conditioning: {len(rows)} rows -> {out}")
-    return 0
+    return {"conditioning.csv": (header, rows)}, params, f"conditioning: {len(rows)} rows -> {out}"
 
 
-def cmd_mineig(args, cfg) -> int:
+def cmd_mineig(args, cfg) -> tuple[dict, dict, str]:
     kernel = parse_kernel_token(cfg["mineig"]["kernel"])
     base_etas = _float_list(cfg, "mineig", "base_etas")
     deltas = _float_list(cfg, "mineig", "deltas")
@@ -403,15 +376,7 @@ def cmd_mineig(args, cfg) -> int:
             extra = anchor + delta * direction
             augmented = np.vstack([centers.points, extra[None, :]])
             diag = spectral_diagnostics(kernel_matrix(kernel, augmented, augmented))
-            rows.append(
-                [
-                    kio.fmt(eta),
-                    kio.fmt(fill),
-                    len(centers) + 1,
-                    kio.fmt(delta),
-                    kio.fmt(diag.lambda_min),
-                ]
-            )
+            rows.append([eta, fill, len(centers) + 1, delta, diag.lambda_min])
 
     params = {
         "command": "mineig",
@@ -420,24 +385,24 @@ def cmd_mineig(args, cfg) -> int:
         "mineig.base_etas": cfg["mineig"]["base_etas"],
         "mineig.deltas": cfg["mineig"]["deltas"],
     }
+    header = ["base_eta", "fill_distance", "M", "pair_distance", "lambda_min"]
     out = Path(args.out) / "mineig.csv"
-    kio.write_rows_csv(
-        out, ["base_eta", "fill_distance", "M", "pair_distance", "lambda_min"], rows, params
-    )
-    print(f"mineig: {len(rows)} rows -> {out}")
-    return 0
+    return {"mineig.csv": (header, rows)}, params, f"mineig: {len(rows)} rows -> {out}"
 
 
-def cmd_mocap(args, cfg) -> int:
-    kernel = _kernel_from_section(cfg, "mocap")
+def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
+    kernel = KernelSpec.from_config(cfg["mocap"])
     eta = _float(cfg, "mocap", "eta")
-    grid_n = _int(cfg, "mocap", "grid_n")
+    grid_n = _count(cfg, "mocap", "grid_n")
     axes = (cfg["mocap"]["axis_fwd"], cfg["mocap"]["axis_up"])
 
     frames = read_marker_csv(args.markers)
     samples = extract_angles(frames, plane_axes=axes)
     if not samples:
         raise DegenerateInputError("no usable frames in the marker file")
+    g1, g2 = fit_kinematics(samples, eta, kernel)
+    angle_states = np.array([(s.theta1, s.theta2) for s in samples])
+    surface, diagnostics = _surface_and_diagnostics([g1, g2], angle_states, grid_n)
 
     params = {
         "command": "mocap",
@@ -446,51 +411,21 @@ def cmd_mocap(args, cfg) -> int:
         "mocap.axis_up": axes[1],
         **_kernel_params(kernel),
     }
-    out_dir = Path(args.out)
-    kio.write_rows_csv(
-        out_dir / "mocap_angles.csv",
-        ["t", "theta1", "theta2", "y1", "y2"],
-        [[s.t, s.theta1, s.theta2, s.y1, s.y2] for s in samples],
-        params,
-    )
-
-    g1, g2 = fit_kinematics(samples, eta, kernel)
-    kio.write_estimate_csv(out_dir / "mocap_estimate_g1.csv", g1, params)
-    kio.write_estimate_csv(out_dir / "mocap_estimate_g2.csv", g2, params)
-
-    grid = _surface_points(g1.advanced_centers.points, grid_n)
-    v1 = predict(g1, grid)[:, 0]
-    v2 = predict(g2, grid)[:, 0]
-    kio.write_rows_csv(
-        out_dir / "mocap_surface.csv",
-        ["theta1", "theta2", "G1_hat", "G2_hat"],
-        np.column_stack([grid, v1, v2]),
-        params,
-    )
-
-    centers = g1.centers
-    angle_states = np.array([(s.theta1, s.theta2) for s in samples])
-    fill = fill_distance(centers, angle_states)
-    sep = separation(centers)
-    kio.write_rows_csv(
-        out_dir / "mocap_diagnostics.csv",
-        ["frames", "samples", "M", "fill_distance", "separation", "cond", "lambda_min", "jitter_used"],
-        [[
-            len(frames),
-            len(samples),
-            len(centers),
-            fill,
-            sep,
-            g1.diagnostics.condition_number,
-            g1.diagnostics.min_eigenvalue,
-            g1.diagnostics.jitter_used,
-        ]],
-        params,
-    )
-    print(
-        f"mocap: {len(samples)} samples, M={len(centers)}, cond={g1.diagnostics.condition_number:.4e}"
-    )
-    return 0
+    artifacts = {
+        "mocap_angles.csv": (
+            ["t", "theta1", "theta2", "y1", "y2"],
+            [[s.t, s.theta1, s.theta2, s.y1, s.y2] for s in samples],
+        ),
+        "mocap_estimate_g1.csv": g1,
+        "mocap_estimate_g2.csv": g2,
+        "mocap_surface.csv": (["theta1", "theta2", "G1_hat", "G2_hat"], surface),
+        "mocap_diagnostics.csv": (
+            ["frames", "samples", *_DIAGNOSTICS_HEADER],
+            [[len(frames), len(samples), *diagnostics]],
+        ),
+    }
+    m, _, _, cond = diagnostics[:4]
+    return artifacts, params, f"mocap: {len(samples)} samples, M={m}, cond={cond:.4e}"
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +489,20 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config)
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg)
+        artifacts, params, summary = args.func(args, cfg)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_artifacts(out_dir, artifacts, params)
+        print(summary)
+        return 0
     except (ConfigError, InvalidArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
     except (DegenerateInputError, NotPositiveDefiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
     except (CsvFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, error = 4, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

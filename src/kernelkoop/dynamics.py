@@ -32,6 +32,9 @@ class PendulumConfig:
     steps: int = 256
 
     def __post_init__(self) -> None:
+        for name in ("x1_0", "x2_0", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.h > 0:
             raise InvalidArgumentError(f"time step must be > 0, got {self.h}")
         if self.steps < 1:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from scipy.spatial.distance import cdist
 
 from conftest import synthetic_gait_frames, write_marker_csv
@@ -283,3 +284,64 @@ def test_default_eta_constant_matches_config():
     from kernelkoop.cli import DEFAULTS
 
     assert float(DEFAULTS["fit"]["eta"]) == ETA_37_CENTERS
+
+
+def _fit_and_mocap_inputs(tmp_path):
+    """A default trajectory and the 240-frame gait, outside the output directory."""
+    inputs = tmp_path / "in"
+    assert main(["--out", str(inputs), "simulate"]) == 0
+    markers = inputs / "markers.csv"
+    write_marker_csv(markers, synthetic_gait_frames())
+    return {
+        "fit": ["fit", "--trajectory", str(inputs / "trajectory.csv")],
+        "mocap": ["mocap", "--markers", str(markers)],
+    }
+
+
+@pytest.mark.parametrize("grid_n", ["0", "-5"])
+@pytest.mark.parametrize("command", ["fit", "mocap"])
+def test_grid_n_below_one_is_a_config_error_and_writes_nothing(tmp_path, capsys, command, grid_n):
+    commands = _fit_and_mocap_inputs(tmp_path)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\ngrid_n = {grid_n}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *commands[command]]) == 2
+    assert f"[{command}] grid_n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mocap_failing_after_the_angles_writes_nothing(tmp_path):
+    # the angles table is complete before the fit finds too few centers
+    markers = tmp_path / "static.csv"
+    write_marker_csv(markers, [synthetic_gait_frames()[0]] * 40)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "mocap", "--markers", str(markers)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["x1_0", "x2_0", "h"])
+def test_non_finite_pendulum_config_is_a_config_error(tmp_path, capsys, field):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[dynamics]\n{field} = inf\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_conditioning_kernels_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[conditioning]\nkernels =\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "conditioning"]) == 2
+    assert "[conditioning] kernels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, setting", [("fit", "grid_n = 10"), ("kernel", "beta = 2")])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, section, setting):
+    commands = _fit_and_mocap_inputs(tmp_path)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[DEFAULT]\neta = 0.5\n[{section}]\n{setting}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *commands["fit"]]) == 2
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err

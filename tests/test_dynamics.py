@@ -94,3 +94,10 @@ def test_config_validation():
         PendulumConfig(h=0.0)
     with pytest.raises(InvalidArgumentError):
         PendulumConfig(steps=0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["x1_0", "x2_0", "h"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(InvalidArgumentError, match=field):
+        PendulumConfig(**{field: value})
