@@ -95,9 +95,13 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
         return cfg
-    # '[]' is no valid header, so '[DEFAULT]' is an ordinary, unknown section
-    parser = configparser.ConfigParser(default_section="")
-    read = parser.read(path)
+    # '[]' is no valid header, so '[DEFAULT]' is an ordinary, unknown section;
+    # values are literal: no '%(name)s' expansion
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"bad config file: {exc}") from None
     if not read:
         raise OSError(f"config file not found: {path}")
     for section in parser.sections():
@@ -136,9 +140,12 @@ def _float_list(cfg, section: str, key: str) -> list[float]:
     if not raw:
         raise ConfigError(f"[{section}] {key} must list at least one number")
     try:
-        return [float(tok) for tok in raw]
+        values = [float(tok) for tok in raw]
     except ValueError:
         raise ConfigError(f"[{section}] {key} contains a non-number") from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"[{section}] {key} must list finite numbers")
+    return values
 
 
 def parse_kernel_token(token: str) -> KernelSpec:

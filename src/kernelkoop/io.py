@@ -90,41 +90,46 @@ def _column_cells(column):
 def _read_table(path) -> tuple[dict[str, str], list[str], np.ndarray, np.ndarray]:
     """Parse (comments, header, first column, other columns) from a CSV of this module.
 
-    The '#' lines before the header and the header itself are scanned line
-    by line; the body is parsed by one ``np.loadtxt`` into an int64 first
-    column and an (n, ncols - 1) float64 block.  A non-integer first cell,
-    a non-number, a missing or an extra cell raises CsvFormatError.
+    The body is parsed by one ``np.loadtxt`` into an int64 first column and
+    an (n, ncols - 1) float64 block.  A non-integer first cell, a
+    non-number, a missing or an extra cell raises CsvFormatError.
     """
-    comments: dict[str, str] = {}
     with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    comments[key.strip()] = value.strip()
-                continue
-            header = [c.strip() for c in line.split(",")]
-            break
-        else:
-            raise CsvFormatError(f"{path}: no header line found")
+        comments, header = _read_header(fh, path)
         dtype = np.dtype([("first", np.int64), ("rest", np.float64, (len(header) - 1,))])
-        try:
-            with warnings.catch_warnings():
-                # a header without rows is reported by each reader
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                # numpy 1.x reads "1.0" into an int column with only this warning
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(
-                    (line for line in fh if line.strip()), dtype=dtype, delimiter=",", ndmin=1
-                )
-        except (ValueError, DeprecationWarning) as exc:
-            raise CsvFormatError(f"{path}: bad row ({exc})") from None
-    return (
-        comments, header, np.ascontiguousarray(table["first"]), np.ascontiguousarray(table["rest"])
-    )
+        table = _read_body(fh, path, dtype=dtype, ndmin=1)
+    return comments, header, *(np.ascontiguousarray(table[f]) for f in ("first", "rest"))
+
+
+def _read_header(fh, path) -> tuple[dict[str, str], list[str]]:
+    """Scan the '#' comment lines and the header line of an open CSV, line by line."""
+    comments: dict[str, str] = {}
+    for line in fh:
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                comments[key.strip()] = value.strip()
+            continue
+        return comments, [c.strip() for c in line.split(",")]
+    raise CsvFormatError(f"{path}: no header line found")
+
+
+def _read_body(fh, path, **loadtxt_args) -> np.ndarray:
+    """The rest of an open CSV by one ``np.loadtxt``, blank and '#' lines skipped."""
+    try:
+        with warnings.catch_warnings():
+            # a header without rows is reported by each reader
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy 1.x reads "1.0" into an int column with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(
+                (line for line in fh if line.strip()), delimiter=",", **loadtxt_args
+            )
+    except (ValueError, DeprecationWarning) as exc:
+        raise CsvFormatError(f"{path}: bad row ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,7 @@ body axes respectively.
 
 from __future__ import annotations
 
-import csv
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -20,46 +18,50 @@ import numpy as np
 
 from .errors import CsvFormatError, DegenerateInputError, InvalidArgumentError
 from .geometry import subselect_centers
+from .io import _read_body, _read_header
 from .kernels import KernelSpec
 from .koopman import KoopmanEstimate, TrajectoryDataset, fit_pullback
 
 log = logging.getLogger(__name__)
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
+_MARKERS = ("hip", "knee", "ankle")
 _SEGMENT_EPS = 1e-12
 
-MARKER_COLUMNS = (
-    "t",
-    "hip_x", "hip_y", "hip_z",
-    "knee_x", "knee_y", "knee_z",
-    "ankle_x", "ankle_y", "ankle_z",
-)
+MARKER_COLUMNS = ("t", *(f"{name}_{axis}" for name in _MARKERS for axis in "xyz"))
 
 
 @dataclass(frozen=True)
 class MarkerFrame:
-    """One capture frame of 3-D hip, knee and ankle marker positions (meters)."""
+    """3-D hip, knee and ankle markers (meters) of one frame or of len() frames.
 
-    t: int
+    For n frames, ``t`` has shape (n,) and each marker (n, 3).
+    """
+
+    t: int | np.ndarray
     hip: np.ndarray
     knee: np.ndarray
     ankle: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("hip", "knee", "ankle"):
+        shape = np.shape(self.t) + (3,)
+        for name in _MARKERS:
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise InvalidArgumentError(f"{name} marker must be a 3-vector")
+            if v.shape != shape:
+                raise InvalidArgumentError(f"{name} marker must be a 3-vector per frame")
             if not np.all(np.isfinite(v)):
                 raise InvalidArgumentError(f"{name} marker must be finite")
             object.__setattr__(self, name, v)
+
+    def __len__(self) -> int:
+        return int(np.size(self.t))
 
 
 @dataclass(frozen=True)
 class PlanarFrame:
     """Markers projected to the sagittal plane, coordinates (forward, up)."""
 
-    t: int
+    t: int | np.ndarray
     hip: np.ndarray
     knee: np.ndarray
     ankle: np.ndarray
@@ -90,103 +92,88 @@ def _axis_index(axis) -> int:
 
 def project_sagittal(frame: MarkerFrame, plane_axes=("x", "z")) -> PlanarFrame:
     """Drop the mediolateral coordinate, keeping (forward, up) components."""
-    fwd = _axis_index(plane_axes[0])
-    up = _axis_index(plane_axes[1])
+    fwd, up = map(_axis_index, plane_axes)
     if fwd == up:
         raise InvalidArgumentError("plane axes must be two distinct coordinate axes")
     sel = np.array([fwd, up])
-    return PlanarFrame(
-        t=frame.t,
-        hip=frame.hip[sel],
-        knee=frame.knee[sel],
-        ankle=frame.ankle[sel],
-    )
+    return PlanarFrame(frame.t, *(getattr(frame, name)[..., sel] for name in _MARKERS))
+
+
+def _samples(frames: PlanarFrame) -> tuple[list[JointAngleSample], list[str]]:
+    """Samples of the frames along the leading axis, and one message per degenerate frame."""
+    v1 = frames.knee - frames.hip
+    v2 = frames.ankle - frames.knee
+    rel = frames.ankle - frames.hip
+    n1 = np.sqrt((v1 * v1).sum(axis=1))
+    n2 = np.sqrt((v2 * v2).sum(axis=1))
+    # signed angle from the body-down direction (0, -1) to v1, forward positive
+    theta1 = np.arctan2(v1[:, 0], -v1[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate frames are dropped
+        theta2 = np.arccos(np.clip((v1 * v2).sum(axis=1) / (n1 * n2), -1.0, 1.0))
+    bad = (n1 < _SEGMENT_EPS) | (n2 < _SEGMENT_EPS)
+    skipped = [
+        f"frame {t}: zero-length limb segment (hip-knee {a:.3e}, knee-ankle {b:.3e})"
+        for t, a, b in zip(frames.t[bad].tolist(), n1[bad].tolist(), n2[bad].tolist())
+    ]
+    columns = (v[~bad].tolist() for v in (frames.t, theta1, theta2, rel[:, 1], rel[:, 0]))
+    return [JointAngleSample(*row) for row in zip(*columns)], skipped
 
 
 def joint_angles(frame: PlanarFrame) -> JointAngleSample:
-    """Hip and knee flexion angles plus hip-relative ankle coordinates.
+    """Hip and knee flexion angles plus hip-relative ankle coordinates of one frame.
 
     Raises DegenerateInputError when a limb segment has zero length.
     """
-    v1 = frame.knee - frame.hip
-    v2 = frame.ankle - frame.knee
-    n1 = float(np.linalg.norm(v1))
-    n2 = float(np.linalg.norm(v2))
-    if n1 < _SEGMENT_EPS or n2 < _SEGMENT_EPS:
-        raise DegenerateInputError(
-            f"frame {frame.t}: zero-length limb segment (hip-knee {n1:.3e}, knee-ankle {n2:.3e})"
-        )
-    # signed angle from the body-down direction (0, -1) to v1, forward positive
-    theta1 = math.atan2(v1[0], -v1[1])
-    cos_t2 = float(np.dot(v1, v2)) / (n1 * n2)
-    theta2 = math.acos(min(1.0, max(-1.0, cos_t2)))
-    rel = frame.ankle - frame.hip
-    return JointAngleSample(
-        t=frame.t,
-        theta1=theta1,
-        theta2=theta2,
-        y1=float(rel[1]),
-        y2=float(rel[0]),
-    )
+    row = (np.reshape(getattr(frame, name), (1, 2)) for name in _MARKERS)
+    samples, skipped = _samples(PlanarFrame(np.array([frame.t]), *row))
+    if skipped:
+        raise DegenerateInputError(skipped[0])
+    return samples[0]
 
 
 def extract_angles(
-    frames: Iterable[MarkerFrame], plane_axes=("x", "z")
+    frames: MarkerFrame | Iterable[MarkerFrame], plane_axes=("x", "z")
 ) -> list[JointAngleSample]:
-    """Project and convert every frame, skipping degenerate ones with a warning."""
-    samples = []
-    skipped = 0
-    for frame in frames:
-        try:
-            samples.append(joint_angles(project_sagittal(frame, plane_axes)))
-        except DegenerateInputError as exc:
-            skipped += 1
-            log.warning("skipping frame: %s", exc)
+    """Project and convert every frame, skipping degenerate ones with a warning.
+
+    ``frames`` is a MarkerFrame of n frames, as read_marker_csv returns, or
+    an iterable of single frames, which is stacked into one first.
+    """
+    if not isinstance(frames, MarkerFrame):
+        frames = list(frames)
+        rows = (np.reshape([getattr(f, name) for f in frames], (-1, 3)) for name in _MARKERS)
+        frames = MarkerFrame(np.array([f.t for f in frames]), *rows)
+    samples, skipped = _samples(project_sagittal(frames, plane_axes))
+    for message in skipped:
+        log.warning("skipping frame: %s", message)
     if skipped:
-        log.warning("skipped %d degenerate frame(s)", skipped)
+        log.warning("skipped %d degenerate frame(s)", len(skipped))
     return samples
 
 
-def read_marker_csv(path) -> list[MarkerFrame]:
-    """Read marker frames from CSV with the documented column layout.
+def read_marker_csv(path) -> MarkerFrame:
+    """Read every marker frame of a CSV with the documented columns.
 
-    Comment lines starting with '#' are ignored.  Rows containing
-    non-finite marker values are skipped and counted in the log.
+    Columns are found by header name, in any order; other columns are
+    ignored, and so are '#' lines.  Rows containing non-finite values are
+    skipped and counted in the log.  ``t`` must be an integral frame index.
     """
-    frames = []
-    skipped = 0
-    with open(path, newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        try:
-            header = [c.strip() for c in next(rows)]
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty marker file") from None
+    with open(path) as fh:
+        _, header = _read_header(fh, path)
         missing = [c for c in MARKER_COLUMNS if c not in header]
         if missing:
             raise CsvFormatError(f"{path}: missing column(s) {', '.join(missing)}")
-        col = {name: header.index(name) for name in MARKER_COLUMNS}
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            try:
-                values = {name: float(row[col[name]]) for name in MARKER_COLUMNS}
-            except (ValueError, IndexError) as exc:
-                raise CsvFormatError(f"{path}:{lineno}: bad row ({exc})") from None
-            if not all(math.isfinite(v) for v in values.values()):
-                skipped += 1
-                continue
-            coords = [values[name] for name in MARKER_COLUMNS[1:]]
-            frames.append(
-                MarkerFrame(
-                    t=int(values["t"]),
-                    hip=np.array(coords[0:3]),
-                    knee=np.array(coords[3:6]),
-                    ankle=np.array(coords[6:9]),
-                )
-            )
-    if skipped:
+        table = _read_body(fh, path, usecols=[header.index(c) for c in MARKER_COLUMNS], ndmin=2)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        skipped = np.count_nonzero(~finite)
         log.warning("%s: skipped %d frame(s) with non-finite markers", path, skipped)
-    return frames
+        table = table[finite]
+    t = table[:, 0]
+    bad = (t != np.floor(t)) | (t < -(2.0**63)) | (t >= 2.0**63)
+    if bad.any():
+        raise CsvFormatError(f"{path}: t must be an integer frame index, got {t[bad][0].item()!r}")
+    return MarkerFrame(t.astype(np.int64), *np.split(table[:, 1:], 3, axis=1))
 
 
 def build_dataset(samples: Sequence[JointAngleSample]) -> TrajectoryDataset:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from kernelkoop import MarkerFrame
@@ -47,6 +49,24 @@ def write_marker_csv(path, frames):
         cells = [str(f.t)] + [repr(float(v)) for m in (f.hip, f.knee, f.ankle) for v in m]
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
+
+
+def reference_joint_angles(hip, knee, ankle):
+    """One planar frame's (theta1, theta2, y1, y2) with per-frame scalar math.
+
+    None when a limb segment is shorter than 1e-12.
+    """
+    v1 = knee - hip
+    v2 = ankle - knee
+    n1 = float(np.linalg.norm(v1))
+    n2 = float(np.linalg.norm(v2))
+    if n1 < 1e-12 or n2 < 1e-12:
+        return None
+    theta1 = math.atan2(v1[0], -v1[1])
+    cos_t2 = float(np.dot(v1, v2)) / (n1 * n2)
+    theta2 = math.acos(min(1.0, max(-1.0, cos_t2)))
+    rel = ankle - hip
+    return theta1, theta2, float(rel[1]), float(rel[0])
 
 
 def reference_subselect(states, eta, seed=None):

@@ -345,3 +345,68 @@ def test_default_section_is_an_unknown_section(tmp_path, capsys, section, settin
     cfg.write_text(f"[DEFAULT]\neta = 0.5\n[{section}]\n{setting}\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *commands["fit"]]) == 2
     assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("convergence", "convergence", "etas"),
+        ("conditioning", "conditioning", "spacings"),
+        ("mineig", "mineig", "base_etas"),
+        ("mineig", "mineig", "deltas"),
+    ],
+)
+def test_non_finite_list_value_is_a_config_error(tmp_path, capsys, command, section, key, value):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{section}]\n{key} = 0.5, {value}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    assert f"[{section}] {key} must list finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[dynamics]\nsteps = 10\nsteps = 20\n", "already exists"),
+        ("steps = 10\n[dynamics]\n", "no section headers"),
+        ("[dynamics]\nh = 5%\n", "[dynamics] h must be a number, got '5%'"),
+    ],
+    ids=["duplicate-key", "key-before-section", "percent-in-value"],
+)
+def test_configparser_errors_are_config_errors(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _marker_file(tmp_path, edit):
+    """The default gait's marker file with its text lines passed through ``edit``."""
+    markers = tmp_path / "markers.csv"
+    write_marker_csv(markers, synthetic_gait_frames())
+    markers.write_text("".join(edit(markers.read_text().splitlines(True))))
+    return markers
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (lambda ls: [ls[0], "0.01" + ls[1][1:], "0.02" + ls[2][1:], *ls[3:]], 4, "integer frame"),
+        (lambda ls: [ls[0], "1e300" + ls[1][1:], *ls[2:]], 4, "integer frame"),
+        (lambda ls: [ls[0], "9.3e18" + ls[1][1:], *ls[2:]], 4, "integer frame"),
+        (lambda ls: [*ls[:5], "4,0.0,0.12\n", *ls[5:]], 4, "bad row"),
+        (lambda ls: [*ls[:5], ls[5].replace(",", ",x", 1), *ls[6:]], 4, "bad row"),
+        (lambda ls: ls[:1], 3, "no usable frames"),
+    ],
+    ids=["fractional-t", "huge-t", "t-past-int64", "short-row", "non-numeric-cell", "header-only"],
+)
+def test_mocap_bad_marker_file_exit_codes(tmp_path, capsys, edit, code, message):
+    markers = _marker_file(tmp_path, edit)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "mocap", "--markers", str(markers)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -184,7 +184,10 @@ def test_read_marker_csv_round_trip(tmp_path):
     write_marker_csv(path, frames)
     back = read_marker_csv(path)
     assert len(back) == 12
-    assert np.array_equal(back[3].ankle, frames[3].ankle)
+    assert np.array_equal(back.ankle[3], frames[3].ankle)
+    assert back.t.tolist() == [f.t for f in frames]
+    for name in ("hip", "knee", "ankle"):
+        assert np.array_equal(getattr(back, name), [getattr(f, name) for f in frames])
 
 
 def test_read_marker_csv_missing_column(tmp_path):
@@ -206,3 +209,33 @@ def test_read_marker_csv_skips_nan_rows(tmp_path, caplog):
         back = read_marker_csv(path)
     assert len(back) == 5
     assert any("non-finite" in msg for msg in caplog.messages)
+    assert any("skipped 2 frame(s) with non-finite markers" in msg for msg in caplog.messages)
+
+
+def test_read_marker_csv_finds_columns_by_name(tmp_path):
+    frames = synthetic_gait_frames(n_frames=12, n_cycles=1)
+    plain = tmp_path / "plain.csv"
+    write_marker_csv(plain, frames)
+    order = [9, 0, 4, 1, 7, 2, 8, 3, 6, 5]
+    header, *rows = [line.split(",") for line in plain.read_text().splitlines()]
+    lines = ["# exported\n", ",".join(["note"] + [header[i] for i in order] + ["speed"]) + "\n"]
+    for row in rows:
+        lines.append(",".join(["left heel"] + [row[i] for i in order] + ["1.5"]) + "\n")
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("".join(lines))
+    a, b = read_marker_csv(plain), read_marker_csv(shuffled)
+    for name in ("t", "hip", "knee", "ankle"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert extract_angles(a) == extract_angles(b) == extract_angles(frames)
+
+
+def test_marker_frame_stacks_frames_along_a_leading_axis():
+    frames = synthetic_gait_frames(n_frames=6, n_cycles=1)
+    batch = MarkerFrame(
+        np.arange(6), *(np.array([getattr(f, m) for f in frames]) for m in ("hip", "knee", "ankle"))
+    )
+    assert len(batch) == 6
+    assert extract_angles(batch) == extract_angles(frames)
+    assert extract_angles([]) == []
+    with pytest.raises(InvalidArgumentError):
+        MarkerFrame(np.arange(5), batch.hip, batch.knee, batch.ankle)

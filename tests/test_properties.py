@@ -1,26 +1,34 @@
 """Property tests of the shared paths: Gram assembly, batch predict, time-index lookup,
-the greedy center gate and the CSV round trips."""
+the greedy center gate, the CSV round trips and the joint-angle kernel."""
+
+import math
+from dataclasses import astuple
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist
 
-from conftest import reference_subselect, reference_table
+from conftest import reference_joint_angles, reference_subselect, reference_table
 from kernelkoop import (
+    DegenerateInputError,
     EstimateMode,
     KernelSpec,
     KoopmanEstimate,
+    MarkerFrame,
     PendulumConfig,
     PointSet,
     SolveReport,
     TrajectoryDataset,
     eval_kernel,
+    extract_angles,
     fit_pullback,
+    joint_angles,
     kernel_matrix,
     nested_center_sets,
     predict,
+    project_sagittal,
     simulate,
     subselect_centers,
 )
@@ -248,3 +256,56 @@ def test_row_writer_matches_the_per_cell_formatter(tmp_path_factory, case):
     assert path.read_text() == "# command = t\n" + reference_table(header, rows)
     write_rows_csv(path, ["u", "v"], block)
     assert path.read_text() == reference_table(["u", "v"], block.tolist())
+
+
+@st.composite
+def legs(draw):
+    """(n, 3, 3) hip/knee/ankle markers (x forward, y lateral, z up): generic legs, legs
+    with a zero-length thigh, and straight or fully folded legs bent by at most 1e-6."""
+    n = draw(st.integers(1, 40))
+    pts = draw(arrays(np.float64, (n, 3, 3), elements=coords))
+    kind = draw(arrays(np.int8, n, elements=st.integers(0, 2)))
+    reach = draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+    bend = draw(arrays(np.float64, n, elements=st.floats(-1e-6, 1e-6)))
+    thigh = pts[:, 1] - pts[:, 0]
+    pts[kind == 1, 1] = pts[kind == 1, 0]
+    collinear = pts[:, 1] + reach[:, None] * thigh + bend[:, None] * thigh[:, ::-1] * [1, 0, -1]
+    pts[kind == 2, 2] = collinear[kind == 2]
+    return pts
+
+
+# a straight and a fully folded leg whose cos(theta2) rounds to +1 and -1 plus an ulp
+ROUNDED_PAST_ONE = np.array([
+    [[0.0, 0.1, 0.0], [0.3, 0.1, -0.3], [0.75, 0.1, -0.75]],
+    [[0.0, 0.1, 0.0], [0.1, 0.1, -0.7], [0.05, 0.1, -0.35]],
+])
+
+
+@FEW
+@given(legs())
+@example(ROUNDED_PAST_ONE)
+def test_batched_angles_equal_one_row_calls_and_the_per_frame_oracle(pts):
+    n = len(pts)
+    batch = MarkerFrame(np.arange(n), pts[:, 0], pts[:, 1], pts[:, 2])
+    singles = [MarkerFrame(i, *pts[i]) for i in range(n)]
+    got = extract_angles(batch)
+    assert got == extract_angles(singles)
+    one_row = []
+    for frame in singles:
+        try:
+            one_row.append(joint_angles(project_sagittal(frame)))
+        except DegenerateInputError:
+            pass
+    assert [_bits(np.array(astuple(s))) for s in got] == [_bits(np.array(astuple(s))) for s in one_row]
+
+    oracle = [(i, reference_joint_angles(*p[:, [0, 2]])) for i, p in enumerate(pts)]
+    oracle = [(i, want) for i, want in oracle if want is not None]
+    assert [s.t for s in got] == [i for i, _ in oracle]
+    eps = np.finfo(float).eps
+    for s, (_, (theta1, theta2, y1, y2)) in zip(got, oracle):
+        assert (s.y1, s.y2) == (y1, y2)
+        assert abs(s.theta1 - theta1) <= 4 * np.spacing(abs(theta1))
+        # cos(theta2) agrees to a few eps, which arccos scales by 1/sin(theta2);
+        # at collinear legs that is bounded by the absolute 1e-7
+        amplified = 8 * eps / math.sin(theta2) if math.sin(theta2) > 0 else math.inf
+        assert abs(s.theta2 - theta2) <= 4 * np.spacing(theta2) + min(1e-7, amplified)
