@@ -99,8 +99,8 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
     # values are literal: no '%(name)s' expansion
     parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad config file: {exc}") from None
     if not read:
         raise OSError(f"config file not found: {path}")
@@ -173,10 +173,6 @@ def _dynamics_params(cfg) -> dict[str, str]:
     return {f"dynamics.{k}": v for k, v in cfg["dynamics"].items()}
 
 
-def _kernel_params(kernel: KernelSpec) -> dict[str, str]:
-    return {f"kernel.{k}": v for k, v in kernel.to_config().items()}
-
-
 def _sweep(cells, fn, threads: int, what: str) -> list:
     """Rows of ``fn`` over independent sweep cells, in schedule order.
 
@@ -245,14 +241,14 @@ def _write_artifacts(out_dir: Path, artifacts: dict, params: dict) -> None:
 # ---------------------------------------------------------------------------
 # subcommands: each writes nothing and returns (artifacts, params, summary),
 # the artifacts by file name, each a TrajectoryDataset, a KoopmanEstimate
-# or a (header, rows) table
+# or a (header, rows) table; `main` puts the command name first in params
 
 
 def cmd_simulate(args, cfg) -> tuple[dict, dict, str]:
     dataset = simulate(_pendulum_config(cfg))
-    params = {"command": "simulate", **_dynamics_params(cfg)}
     out = Path(args.out) / "trajectory.csv"
-    return {"trajectory.csv": dataset}, params, f"wrote {out} ({len(dataset)} records)"
+    summary = f"wrote {out} ({len(dataset)} records)"
+    return {"trajectory.csv": dataset}, _dynamics_params(cfg), summary
 
 
 def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
@@ -274,10 +270,9 @@ def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
     outputs = ["y_hat"] if n == 1 else [f"y{j + 1}_hat" for j in range(n)]
 
     params = {
-        "command": "fit",
         "fit.eta": kio.fmt(eta),
         "fit.grid_n": grid_n,
-        **_kernel_params(kernel),
+        **kio._kernel_params(kernel),
         **_dynamics_params(cfg),
     }
     artifacts = {
@@ -316,8 +311,7 @@ def cmd_convergence(args, cfg) -> tuple[dict, dict, str]:
         print("warning: too few usable rows for a slope fit", file=sys.stderr)
 
     params = {
-        "command": "convergence",
-        **_kernel_params(kernel),
+        **kio._kernel_params(kernel),
         **_dynamics_params(cfg),
         "convergence.etas": cfg["convergence"]["etas"],
         "loglog_slope": kio.fmt(slope),
@@ -348,7 +342,6 @@ def cmd_conditioning(args, cfg) -> tuple[dict, dict, str]:
     rows = _sweep(cells, cell, args.threads, "spacing")
 
     params = {
-        "command": "conditioning",
         **_dynamics_params(cfg),
         "conditioning.kernels": cfg["conditioning"]["kernels"],
         "conditioning.spacings": cfg["conditioning"]["spacings"],
@@ -386,9 +379,8 @@ def cmd_mineig(args, cfg) -> tuple[dict, dict, str]:
             rows.append([eta, fill, len(centers) + 1, delta, diag.lambda_min])
 
     params = {
-        "command": "mineig",
         **_dynamics_params(cfg),
-        **_kernel_params(kernel),
+        **kio._kernel_params(kernel),
         "mineig.base_etas": cfg["mineig"]["base_etas"],
         "mineig.deltas": cfg["mineig"]["deltas"],
     }
@@ -412,11 +404,10 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
     surface, diagnostics = _surface_and_diagnostics([g1, g2], angle_states, grid_n)
 
     params = {
-        "command": "mocap",
         "mocap.eta": kio.fmt(eta),
         "mocap.axis_fwd": axes[0],
         "mocap.axis_up": axes[1],
-        **_kernel_params(kernel),
+        **kio._kernel_params(kernel),
     }
     artifacts = {
         "mocap_angles.csv": (
@@ -499,7 +490,7 @@ def main(argv=None) -> int:
         artifacts, params, summary = args.func(args, cfg)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_artifacts(out_dir, artifacts, params)
+        _write_artifacts(out_dir, artifacts, {"command": args.command, **params})
         print(summary)
         return 0
     except (ConfigError, InvalidArgumentError) as exc:

@@ -42,7 +42,7 @@ def atomic_write_text(path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -57,6 +57,14 @@ def comment_block(params: Mapping[str, object] | None) -> str:
     if not params:
         return ""
     return "".join(f"# {key} = {value}\n" for key, value in params.items())
+
+
+_KERNEL = "kernel."
+
+
+def _kernel_params(kernel: KernelSpec) -> dict[str, str]:
+    """The ``kernel.<key>`` provenance comments of a kernel, parsed back by read_estimate_csv."""
+    return {_KERNEL + key: value for key, value in kernel.to_config().items()}
 
 
 def write_rows_csv(path, header: Sequence[str], rows, params=None) -> None:
@@ -94,7 +102,7 @@ def _read_table(path) -> tuple[dict[str, str], list[str], np.ndarray, np.ndarray
     an (n, ncols - 1) float64 block.  A non-integer first cell, a
     non-number, a missing or an extra cell raises CsvFormatError.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         comments, header = _read_header(fh, path)
         dtype = np.dtype([("first", np.int64), ("rest", np.float64, (len(header) - 1,))])
         table = _read_body(fh, path, dtype=dtype, ndmin=1)
@@ -104,16 +112,19 @@ def _read_table(path) -> tuple[dict[str, str], list[str], np.ndarray, np.ndarray
 def _read_header(fh, path) -> tuple[dict[str, str], list[str]]:
     """Scan the '#' comment lines and the header line of an open CSV, line by line."""
     comments: dict[str, str] = {}
-    for line in fh:
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                comments[key.strip()] = value.strip()
-            continue
-        return comments, [c.strip() for c in line.split(",")]
+    try:
+        for line in fh:
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    comments[key.strip()] = value.strip()
+                continue
+            return comments, [c.strip() for c in line.split(",")]
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc})") from None
     raise CsvFormatError(f"{path}: no header line found")
 
 
@@ -173,12 +184,14 @@ def read_trajectory_csv(path) -> TrajectoryDataset:
 # point sets
 
 
+def _indices(points: PointSet) -> np.ndarray:
+    """The trajectory indices of the points, or 0..M-1 when they carry none."""
+    return points.indices if points.indices is not None else np.arange(len(points))
+
+
 def write_pointset_csv(path, points: PointSet, params=None) -> None:
     header = ["idx"] + [f"x{i + 1}" for i in range(points.dim)]
-    indices = (
-        points.indices if points.indices is not None else np.arange(len(points))
-    )
-    _write_columns(path, header, [indices, *points.points.T], params)
+    _write_columns(path, header, [_indices(points), *points.points.T], params)
 
 
 def read_pointset_csv(path) -> PointSet:
@@ -195,15 +208,15 @@ def read_pointset_csv(path) -> PointSet:
 
 
 def write_estimate_csv(path, estimate: KoopmanEstimate, params=None) -> None:
-    meta: dict[str, object] = {}
-    if params:
-        meta.update(params)
-    meta["mode"] = estimate.mode.value
-    for key, value in estimate.kernel.to_config().items():
-        meta[f"kernel.{key}"] = value
-    meta["condition_number"] = fmt(estimate.diagnostics.condition_number)
-    meta["min_eigenvalue"] = fmt(estimate.diagnostics.min_eigenvalue)
-    meta["jitter_used"] = fmt(estimate.diagnostics.jitter_used)
+    report = estimate.diagnostics
+    meta = {
+        **(params or {}),
+        "mode": estimate.mode.value,
+        **_kernel_params(estimate.kernel),
+        "condition_number": fmt(report.condition_number),
+        "min_eigenvalue": fmt(report.min_eigenvalue),
+        "jitter_used": fmt(report.jitter_used),
+    }
 
     d = estimate.centers.dim
     n = estimate.output_dim
@@ -213,13 +226,8 @@ def write_estimate_csv(path, estimate: KoopmanEstimate, params=None) -> None:
         + [f"a{i + 1}" for i in range(d)]
         + [f"alpha{i + 1}" for i in range(n)]
     )
-    indices = (
-        estimate.centers.indices
-        if estimate.centers.indices is not None
-        else np.arange(len(estimate.centers))
-    )
     columns = [
-        indices,
+        _indices(estimate.centers),
         *estimate.centers.points.T,
         *estimate.advanced_centers.points.T,
         *estimate.alpha.T,
@@ -231,9 +239,8 @@ def read_estimate_csv(path) -> KoopmanEstimate:
     comments, header, idx, data = _read_table(path)
     if not len(idx):
         raise CsvFormatError(f"{path}: estimate file has no centers")
-    for key in ("mode", "kernel.family"):
-        if key not in comments:
-            raise CsvFormatError(f"{path}: missing '{key}' in the comment block")
+    if "mode" not in comments:
+        raise CsvFormatError(f"{path}: missing 'mode' in the comment block")
     d = sum(1 for c in header if c.startswith("c"))
     n = sum(1 for c in header if c.startswith("alpha"))
     if d == 0 or n == 0 or len(header) != 1 + 2 * d + n:
@@ -241,22 +248,20 @@ def read_estimate_csv(path) -> KoopmanEstimate:
     centers = PointSet(np.ascontiguousarray(data[:, :d]), indices=idx)
     advanced = PointSet(np.ascontiguousarray(data[:, d : 2 * d]), indices=idx)
     alpha = np.ascontiguousarray(data[:, 2 * d :])
-    kernel = KernelSpec.from_config(
-        {
-            "family": comments["kernel.family"],
-            "beta": comments.get("kernel.beta", "1.0"),
-            "support_scale": comments.get("kernel.support_scale", "1.0"),
-            "distance_convention": comments.get("kernel.distance_convention", "plain"),
-        }
-    )
-    report = SolveReport(
-        coefficients=alpha,
-        condition_number=float(comments.get("condition_number", "nan")),
-        min_eigenvalue=float(comments.get("min_eigenvalue", "nan")),
-        jitter_used=float(comments.get("jitter_used", "0.0")),
-    )
+    kernel_config = {k.removeprefix(_KERNEL): v for k, v in comments.items() if k.startswith(_KERNEL)}
+    try:
+        kernel = KernelSpec.from_config(kernel_config)
+        mode = EstimateMode(comments["mode"])
+        report = SolveReport(
+            coefficients=alpha,
+            condition_number=float(comments.get("condition_number", "nan")),
+            min_eigenvalue=float(comments.get("min_eigenvalue", "nan")),
+            jitter_used=float(comments.get("jitter_used", "0.0")),
+        )
+    except ValueError as exc:
+        raise CsvFormatError(f"{path}: bad comment ({exc})") from None
     return KoopmanEstimate(
-        mode=EstimateMode(comments["mode"]),
+        mode=mode,
         centers=centers,
         advanced_centers=advanced,
         alpha=alpha,

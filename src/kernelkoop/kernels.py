@@ -55,42 +55,25 @@ class DistanceConvention(enum.Enum):
     SQUARED = "squared"
 
 
-# keys are lowercased with separators squashed out
-_FAMILY_ALIASES = {
-    "maternsobolev32": KernelFamily.MATERN_SOBOLEV_32,
+# spellings beside each member's own value; keys are lowercased with
+# separators squashed out
+_ALIASES = {
     "matern": KernelFamily.MATERN_SOBOLEV_32,
     "matern32": KernelFamily.MATERN_SOBOLEV_32,
-    "wendlandc2": KernelFamily.WENDLAND_C2,
-    "wendlandc4": KernelFamily.WENDLAND_C4,
-    "wendlandc6": KernelFamily.WENDLAND_C6,
-}
-
-_CONVENTION_ALIASES = {
-    "plain": DistanceConvention.PLAIN,
     "plaindistance": DistanceConvention.PLAIN,
-    "squared": DistanceConvention.SQUARED,
     "squareddistance": DistanceConvention.SQUARED,
 }
 
 
-def _coerce_family(value: KernelFamily | str) -> KernelFamily:
-    if isinstance(value, KernelFamily):
+def _coerce(enum_cls: type[enum.Enum], value, what: str):
+    """The member of ``enum_cls`` that ``value`` names, in any case, with or without '-'/'_'."""
+    if isinstance(value, enum_cls):
         return value
     key = str(value).strip().lower().replace("-", "").replace("_", "")
-    try:
-        return _FAMILY_ALIASES[key]
-    except KeyError:
-        raise ConfigError(f"unknown kernel family {value!r}") from None
-
-
-def _coerce_convention(value: DistanceConvention | str) -> DistanceConvention:
-    if isinstance(value, DistanceConvention):
-        return value
-    key = str(value).strip().lower().replace("-", "").replace("_", "")
-    try:
-        return _CONVENTION_ALIASES[key]
-    except KeyError:
-        raise ConfigError(f"unknown distance convention {value!r}") from None
+    member = {m.value.replace("_", ""): m for m in enum_cls}.get(key, _ALIASES.get(key))
+    if not isinstance(member, enum_cls):
+        raise ConfigError(f"unknown {what} {value!r}")
+    return member
 
 
 @dataclass(frozen=True)
@@ -117,10 +100,9 @@ class KernelSpec:
     distance_convention: DistanceConvention = DistanceConvention.PLAIN
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "family", _coerce_family(self.family))
-        object.__setattr__(
-            self, "distance_convention", _coerce_convention(self.distance_convention)
-        )
+        object.__setattr__(self, "family", _coerce(KernelFamily, self.family, "kernel family"))
+        convention = _coerce(DistanceConvention, self.distance_convention, "distance convention")
+        object.__setattr__(self, "distance_convention", convention)
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "support_scale", float(self.support_scale))
         if not self.beta > 0:
@@ -231,15 +213,10 @@ def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate K(x, y) for two points of equal dimension."""
+    """Evaluate K(x, y) for two points of equal dimension, as a 1x1 cross matrix."""
     xv = np.asarray(x, dtype=float).ravel()
     yv = np.asarray(y, dtype=float).ravel()
-    if xv.shape != yv.shape:
-        raise InvalidArgumentError(
-            f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}"
-        )
-    r = float(np.linalg.norm(xv - yv))
-    return float(_profile(spec, np.float64(r)))
+    return float(kernel_matrix(spec, xv[None, :], yv[None, :])[0, 0])
 
 
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:

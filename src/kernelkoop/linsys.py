@@ -72,32 +72,31 @@ def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
     jitter, or ``"auto"`` which retries with jitter escalating through
     {1e-12, 1e-10, 1e-8} * trace(K)/M after a failure at zero.
     """
-    diag = spectral_diagnostics(K)
+    if jitter_policy in ("none", "auto"):
+        ladder = [0.0]
+    else:
+        try:
+            ladder = [float(jitter_policy)]
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(
+                f"jitter_policy must be 'none', 'auto' or a float, got {jitter_policy!r}"
+            ) from None
+        if ladder[0] < 0:
+            raise InvalidArgumentError("fixed jitter must be nonnegative")
     K = np.asarray(K, dtype=float)
     b = np.asarray(rhs, dtype=float)
     squeeze = b.ndim == 1
     if squeeze:
         b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != K.shape[0]:
+    # a K that is not 2-D is rejected by spectral_diagnostics, still before eigvalsh
+    if K.ndim == 2 and (b.ndim != 2 or b.shape[0] != K.shape[0]):
         raise InvalidArgumentError(
             f"rhs must have {K.shape[0]} rows, got shape {np.shape(rhs)}"
         )
-
-    if jitter_policy == "none":
-        ladder = [0.0]
-    elif jitter_policy == "auto":
+    diag = spectral_diagnostics(K)
+    if jitter_policy == "auto":
         unit = float(np.trace(K)) / K.shape[0] if K.shape[0] else 1.0
-        ladder = [0.0] + [step * unit for step in _AUTO_JITTER_STEPS]
-    else:
-        try:
-            fixed = float(jitter_policy)
-        except (TypeError, ValueError):
-            raise InvalidArgumentError(
-                f"jitter_policy must be 'none', 'auto' or a float, got {jitter_policy!r}"
-            ) from None
-        if fixed < 0:
-            raise InvalidArgumentError("fixed jitter must be nonnegative")
-        ladder = [fixed]
+        ladder += [step * unit for step in _AUTO_JITTER_STEPS]
 
     for lam in ladder:
         Kreg = K if lam == 0.0 else K + lam * np.eye(K.shape[0])

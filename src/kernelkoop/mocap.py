@@ -158,7 +158,7 @@ def read_marker_csv(path) -> MarkerFrame:
     ignored, and so are '#' lines.  Rows containing non-finite values are
     skipped and counted in the log.  ``t`` must be an integral frame index.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         _, header = _read_header(fh, path)
         missing = [c for c in MARKER_COLUMNS if c not in header]
         if missing:

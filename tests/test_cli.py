@@ -410,3 +410,22 @@ def test_mocap_bad_marker_file_exit_codes(tmp_path, capsys, edit, code, message)
     assert main(["--out", str(out), "mocap", "--markers", str(markers)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--config", "BAD", "simulate"], 2),
+        (["fit", "--trajectory", "BAD"], 4),
+        (["mocap", "--markers", "BAD"], 4),
+    ],
+    ids=["config", "trajectory", "markers"],
+)
+def test_input_that_is_not_utf8_fails_with_its_exit_code(tmp_path, capsys, argv, code):
+    bad = tmp_path / "input"
+    bad.write_bytes(b"# note = caf\xff\n[dynamics]\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *(str(bad) if a == "BAD" else a for a in argv)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "decode" in err
+    assert not out.exists()

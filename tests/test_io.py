@@ -99,6 +99,15 @@ def test_read_rejects_malformed_files(tmp_path):
     path.write_text("idx,x1\n")
     with pytest.raises(CsvFormatError):
         read_pointset_csv(path)
+    ds = simulate(PendulumConfig(steps=30))
+    write_estimate_csv(path, fit_pullback(ds, subselect_centers(ds, 0.5), KernelSpec("matern")))
+    lines = path.read_text().splitlines(True)
+    for key, value in [("mode", "bogus"), ("condition_number", "high"), ("kernel.family", "gaussian")]:
+        path.write_text("".join(
+            f"# {key} = {value}\n" if line.startswith(f"# {key} =") else line for line in lines
+        ))
+        with pytest.raises(CsvFormatError, match=f"junk.csv: bad comment .*{value}"):
+            read_estimate_csv(path)
 
 
 BAD_TRAJECTORY_ROWS = {

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,11 +187,41 @@ def test_spec_config_round_trip():
     assert again.distance_convention is DistanceConvention.SQUARED
 
 
+FAMILY_SPELLINGS = {
+    "maternsobolev32": KernelFamily.MATERN_SOBOLEV_32,
+    "matern": KernelFamily.MATERN_SOBOLEV_32,
+    "matern32": KernelFamily.MATERN_SOBOLEV_32,
+    "wendlandc2": KernelFamily.WENDLAND_C2,
+    "wendlandc4": KernelFamily.WENDLAND_C4,
+    "wendlandc6": KernelFamily.WENDLAND_C6,
+}
+CONVENTION_SPELLINGS = {
+    "plain": DistanceConvention.PLAIN,
+    "plaindistance": DistanceConvention.PLAIN,
+    "squared": DistanceConvention.SQUARED,
+    "squareddistance": DistanceConvention.SQUARED,
+}
+
+
+def _respellings(key):
+    """The key as given, in upper and mixed case, and with '-'/'_' and spaces added."""
+    mixed = "".join(c.upper() if i % 2 else c for i, c in enumerate(key))
+    return [key, key.upper(), mixed, "_".join(key), f"  {key[:3].upper()}-_{key[3:]} "]
+
+
 def test_spec_accepts_alias_spellings():
-    assert KernelSpec("matern").family is KernelFamily.MATERN_SOBOLEV_32
-    assert KernelSpec("WendlandC4").family is KernelFamily.WENDLAND_C4
-    spec = KernelSpec("matern", distance_convention="PlainDistance")
-    assert spec.distance_convention is DistanceConvention.PLAIN
+    for key, family in FAMILY_SPELLINGS.items():
+        for name in _respellings(key):
+            assert KernelSpec(name).family is family, name
+    for key, convention in CONVENTION_SPELLINGS.items():
+        for name in _respellings(key):
+            assert KernelSpec("matern", distance_convention=name).distance_convention is convention
+    for name in ["plain", "Squared", "plain_distance", "squared-distance"]:
+        with pytest.raises(ConfigError, match=re.escape(f"unknown kernel family {name!r}")):
+            KernelSpec(name)
+    for name in ["matern", "Wendland_C4", "matern_sobolev32"]:
+        with pytest.raises(ConfigError, match=re.escape(f"unknown distance convention {name!r}")):
+            KernelSpec("matern", distance_convention=name)
 
 
 def test_pointset_validation():

@@ -9,6 +9,7 @@ from kernelkoop import (
     solve_spd,
     spectral_diagnostics,
 )
+from kernelkoop import linsys
 
 MATERN_UNIT = (1.0 + math.sqrt(3.0)) * math.exp(-math.sqrt(3.0))
 
@@ -139,3 +140,30 @@ def test_cond_at_least_diagonal_ratio(seed):
     _, _, cond = spectral_diagnostics(K)
     diag = np.diag(K)
     assert cond >= diag.max() / diag.min() - 1e-12
+
+
+@pytest.mark.parametrize(
+    "rhs, policy",
+    [(np.ones(4), "sometimes"), (np.ones(4), -1.0), (np.ones(3), "none"), (np.ones((4, 1, 1)), "auto")],
+    ids=["unknown-policy", "negative-jitter", "short-rhs", "rhs-3d"],
+)
+def test_bad_input_fails_before_the_eigendecomposition(monkeypatch, rhs, policy):
+    def eigvalsh(K):
+        raise AssertionError("eigvalsh reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(InvalidArgumentError):
+        solve_spd(np.eye(4), rhs, jitter_policy=policy)
+
+
+@pytest.mark.parametrize("policy", ["none", "auto", 0.5])
+def test_a_valid_solve_computes_the_diagnostics_once(monkeypatch, policy):
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return spectral_diagnostics(K)
+
+    monkeypatch.setattr(linsys, "spectral_diagnostics", counted)
+    solve_spd(np.diag([2.0, 1.0]), np.ones(2), jitter_policy=policy)
+    assert len(calls) == 1

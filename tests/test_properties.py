@@ -1,5 +1,6 @@
 """Property tests of the shared paths: Gram assembly, batch predict, time-index lookup,
-the greedy center gate, the CSV round trips and the joint-angle kernel."""
+the greedy center gate, interpolation exactness, the projected estimator against the
+least-squares operator, the CSV round trips and the joint-angle kernel."""
 
 import math
 from dataclasses import astuple
@@ -13,7 +14,9 @@ from scipy.spatial.distance import cdist, pdist
 from conftest import reference_joint_angles, reference_subselect, reference_table
 from kernelkoop import (
     DegenerateInputError,
+    DistanceConvention,
     EstimateMode,
+    KernelFamily,
     KernelSpec,
     KoopmanEstimate,
     MarkerFrame,
@@ -21,15 +24,20 @@ from kernelkoop import (
     PointSet,
     SolveReport,
     TrajectoryDataset,
+    edmd_apply,
+    edmd_fit,
     eval_kernel,
     extract_angles,
     fit_pullback,
+    fit_umf,
     joint_angles,
     kernel_matrix,
+    kernel_sections,
     nested_center_sets,
     predict,
     project_sagittal,
     simulate,
+    solve_spd,
     subselect_centers,
 )
 from kernelkoop.geometry import _BLOCK
@@ -68,7 +76,62 @@ def test_gram_matches_pointwise_kernel_and_cross_path(spec, pts):
     assert np.array_equal(K, K.T)
     assert K.tobytes() == kernel_matrix(spec, pts, pts.copy()).tobytes()
     expected = [[eval_kernel(spec, a, b) for b in pts] for a in pts]
-    np.testing.assert_allclose(K, expected, rtol=1e-14, atol=1e-15)
+    assert K.tobytes() == np.array(expected).tobytes()
+
+
+@st.composite
+def separated_points(draw, gap=0.1):
+    """(M, d) points in [0, 2]^d, pairwise farther apart than ``gap``: random states
+    passed through the greedy gate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = rng.uniform(0.0, 2.0, size=(draw(st.integers(1, 30)), draw(st.integers(1, 3))))
+    return subselect_centers(states, gap).points
+
+
+def _affine_dataset(points, y):
+    """One record per point, advanced by x -> 0.8 x + 0.1, which keeps the points apart."""
+    return TrajectoryDataset(k=np.arange(len(points)), x=points, x_next=0.8 * points + 0.1, y_next=y)
+
+
+def _solve_bound(m, cond, scale):
+    """c * cond * eps * scale with c = 4 M: the backward error of an M x M Cholesky
+    solve, amplified by the condition number."""
+    return 4 * m * cond * np.finfo(float).eps * scale
+
+
+@FEW
+@given(kernels, separated_points(), st.data())
+def test_pullback_interpolates_within_the_conditioning_bound(spec, points, data):
+    y = data.draw(arrays(np.float64, (len(points), 2), elements=st.floats(-10.0, 10.0)))
+    dataset = _affine_dataset(points, y)
+    estimate = fit_pullback(dataset, PointSet(points, indices=dataset.k), spec)
+    residual = predict(estimate, estimate.advanced_centers.points) - y
+    cond = estimate.diagnostics.condition_number
+    assert np.linalg.norm(residual) <= _solve_bound(len(points), cond, np.linalg.norm(y))
+
+
+@FEW
+@given(kernels, separated_points(), st.data())
+def test_projected_estimator_equals_the_least_squares_operator(spec, points, data):
+    g = data.draw(arrays(np.float64, (len(points), 1), elements=st.floats(-10.0, 10.0)))
+    dataset = _affine_dataset(points, g)
+    centers = PointSet(points, indices=dataset.k)
+    estimate = fit_umf(dataset, centers, spec, g_at_centers=g)
+    op = edmd_fit(
+        kernel_sections(spec, centers, dataset.x),
+        kernel_sections(spec, centers, dataset.x_next),
+        basis_centers=centers,
+        kernel=spec,
+    )
+    g_coeffs = solve_spd(kernel_matrix(spec, centers, centers), g[:, 0]).coefficients
+    queries = np.random.default_rng(len(points)).uniform(-0.2, 2.2, size=(5, centers.dim))
+    umf = predict(estimate, queries)[:, 0]
+    edmd = np.array([edmd_apply(op, g_coeffs, q) for q in queries])
+    # each value is sum_i alpha_i K(c_i, q) with |K| <= 1, so the coefficient
+    # error of the two solves reaches it at most through the l1 norm of alpha
+    cond = estimate.diagnostics.condition_number
+    bound = _solve_bound(len(points), cond, np.abs(estimate.alpha).sum())
+    assert np.max(np.abs(umf - edmd)) <= bound
 
 
 _DATA = simulate(PendulumConfig(steps=60))
@@ -208,12 +271,25 @@ def test_pointset_csv_round_trip_is_bit_exact(tmp_path_factory, case):
     _assert_table_matches_oracle(path, [[int(i)] + list(p) for i, p in zip(ps.indices, ps.points)])
 
 
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+any_kernel = st.builds(
+    KernelSpec,
+    st.sampled_from(list(KernelFamily)),
+    beta=positive,
+    support_scale=positive,
+    distance_convention=st.sampled_from(list(DistanceConvention)),
+)
+_ONE_POINT = (np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), [1.0, 1.0, 0.0])
+
+
 @FEW
 @given(st.tuples(st.integers(1, 10), st.integers(1, 3), st.integers(1, 2)).flatmap(
     lambda s: st.tuples(_float_block(s[0], s[1]), _float_block(s[0], s[1]),
                         _float_block(s[0], s[2]), st.lists(finite, min_size=3, max_size=3))
-))
-def test_estimate_csv_round_trip_is_bit_exact(tmp_path_factory, case):
+), any_kernel)
+@example(_ONE_POINT, KernelSpec("matern", beta=0.35, distance_convention="squared"))
+@example(_ONE_POINT, KernelSpec("wendland_c6", beta=1 / 3, support_scale=5e-324))
+def test_estimate_csv_round_trip_is_bit_exact(tmp_path_factory, case, kernel):
     centers, advanced, alpha, (cond, lam, jitter) = case
     idx = np.arange(len(centers)) * 3
     est = KoopmanEstimate(
@@ -221,7 +297,7 @@ def test_estimate_csv_round_trip_is_bit_exact(tmp_path_factory, case):
         centers=PointSet(centers, indices=idx),
         advanced_centers=PointSet(advanced, indices=idx),
         alpha=alpha,
-        kernel=KernelSpec("wendland_c4", support_scale=0.7),
+        kernel=kernel,
         diagnostics=SolveReport(alpha, cond, lam, jitter),
     )
     path = tmp_path_factory.mktemp("estimate") / "estimate.csv"
