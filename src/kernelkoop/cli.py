@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import (
 from .geometry import fill_distance, nested_center_sets, separation, subselect_centers
 from .kernels import KernelSpec, kernel_matrix
 from .koopman import KoopmanEstimate, TrajectoryDataset, fit_pullback, predict
-from .linsys import spectral_diagnostics
+from .linsys import _parse_jitter, spectral_diagnostics
 from .mocap import extract_angles, fit_kinematics, read_marker_csv
 
 # Gate recovered by bisection so the default 256-step trajectory keeps
@@ -116,11 +115,14 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
 
 def _float(cfg, section: str, key: str) -> float:
     try:
-        return float(cfg[section][key])
+        value = float(cfg[section][key])
     except ValueError:
         raise ConfigError(
             f"[{section}] {key} must be a number, got {cfg[section][key]!r}"
         ) from None
+    if not np.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {cfg[section][key]!r}")
+    return value
 
 
 def _count(cfg, section: str, key: str) -> int:
@@ -173,21 +175,19 @@ def _dynamics_params(cfg) -> dict[str, str]:
     return {f"dynamics.{k}": v for k, v in cfg["dynamics"].items()}
 
 
-def _sweep(cells, fn, threads: int, what: str) -> list:
-    """Rows of ``fn`` over independent sweep cells, in schedule order.
+def _sweep(cells, fn, what: str) -> list:
+    """``fn(*cell)`` for each sweep cell ``(value, centers, ...)``, in order.
 
-    Each cell is ``(value, centers, ...)``.  A cell that keeps fewer than 2
-    centers is skipped with a warning naming ``what=value``.
+    A cell that keeps fewer than 2 centers is skipped with a warning naming
+    ``what=value``.
     """
-    for value, centers, *_ in cells:
+    results = []
+    for value, centers, *rest in cells:
         if len(centers) < 2:
-            warning = f"warning: {what}={value} keeps fewer than 2 centers, row skipped"
-            print(warning, file=sys.stderr)
-    kept = [cell for cell in cells if len(cell[1]) >= 2]
-    if threads <= 1:
-        return [fn(cell) for cell in kept]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, kept))
+            print(f"warning: {what}={value} keeps fewer than 2 centers, skipped", file=sys.stderr)
+        else:
+            results.append(fn(value, centers, *rest))
+    return results
 
 
 def _all_states(dataset) -> np.ndarray:
@@ -261,6 +261,7 @@ def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
     kernel = KernelSpec.from_config(cfg["kernel"])
     eta = _float(cfg, "fit", "eta")
     grid_n = _count(cfg, "fit", "grid_n")
+    _parse_jitter(cfg["fit"]["jitter"], "[fit] jitter")
     dataset = kio.read_trajectory_csv(_trajectory_path(args))
 
     centers = subselect_centers(dataset, eta)
@@ -291,15 +292,14 @@ def cmd_convergence(args, cfg) -> tuple[dict, dict, str]:
     dataset = kio.read_trajectory_csv(_trajectory_path(args))
     states = _all_states(dataset)
 
-    def cell(pair):
-        eta, centers = pair
+    def cell(eta, centers):
         estimate = fit_pullback(dataset, centers, kernel)
         residual = predict(estimate, dataset.x_next) - dataset.y_next
         sup_error = float(np.max(np.linalg.norm(residual, axis=1)))
         return [eta, fill_distance(centers, states), len(centers), sup_error]
 
     cells = list(zip(etas, nested_center_sets(dataset, etas)))
-    rows = _sweep(cells, cell, args.threads, "eta")
+    rows = _sweep(cells, cell, "eta")
 
     fills = np.array([r[1] for r in rows])
     errors = np.array([r[3] for r in rows])
@@ -332,14 +332,13 @@ def cmd_conditioning(args, cfg) -> tuple[dict, dict, str]:
     # every kernel's cells share one subselection per distinct spacing
     centers_at = {s: subselect_centers(dataset, s) for s in dict.fromkeys(spacings)}
 
-    def cell(item):
-        spacing, centers, kernel = item
+    def cell(spacing, centers, kernel):
         diag = spectral_diagnostics(kernel_matrix(kernel, centers, centers))
         row = [kernel.label, kernel.beta, spacing, len(centers), separation(centers)]
         return row + [diag.cond, diag.lambda_min]
 
     cells = [(s, centers_at[s], kernel) for kernel in kernels for s in spacings]
-    rows = _sweep(cells, cell, args.threads, "spacing")
+    rows = _sweep(cells, cell, "spacing")
 
     params = {
         **_dynamics_params(cfg),
@@ -361,22 +360,22 @@ def cmd_mineig(args, cfg) -> tuple[dict, dict, str]:
     states = _all_states(dataset)
     centroid = states.mean(axis=0)
 
-    rows = []
-    for eta in base_etas:
-        centers = subselect_centers(dataset, eta)
-        if len(centers) < 2:
-            print(f"warning: base eta={eta} keeps fewer than 2 centers, skipped", file=sys.stderr)
-            continue
+    def cell(eta, centers):
         fill = fill_distance(centers, states)
         anchor = centers.points[0]
         direction = anchor - centroid
         norm = float(np.linalg.norm(direction))
         direction = direction / norm if norm > 0 else np.array([1.0, 0.0])
+        block = []
         for delta in deltas:
             extra = anchor + delta * direction
             augmented = np.vstack([centers.points, extra[None, :]])
             diag = spectral_diagnostics(kernel_matrix(kernel, augmented, augmented))
-            rows.append([eta, fill, len(centers) + 1, delta, diag.lambda_min])
+            block.append([eta, fill, len(centers) + 1, delta, diag.lambda_min])
+        return block
+
+    cells = [(eta, subselect_centers(dataset, eta)) for eta in base_etas]
+    rows = [row for block in _sweep(cells, cell, "base_eta") for row in block]
 
     params = {
         **_dynamics_params(cfg),
@@ -444,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="INI config file; defaults shown below")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
-    parser.add_argument("--threads", type=int, default=1, help="parallel sweep cells (default 1)")
 
     defaults_help = "\n".join(
         f"[{section}]\n" + "\n".join(f"  {k} = {v}" for k, v in values.items())
@@ -484,8 +482,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config)
         artifacts, params, summary = args.func(args, cfg)
         out_dir = Path(args.out)

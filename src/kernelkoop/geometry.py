@@ -21,19 +21,15 @@ def _states_and_indices(data) -> tuple[np.ndarray, np.ndarray]:
     """Extract (states, time indices) from a trajectory-like object.
 
     Accepts a TrajectoryDataset (uses .x and .k), a PointSet, or a plain
-    array of points (indices default to 0..m-1).
+    array of points; indices default to 0..m-1 where the points carry none.
     """
     if hasattr(data, "x") and hasattr(data, "k"):
         return np.asarray(data.x, dtype=float), np.asarray(data.k, dtype=int)
-    if isinstance(data, PointSet):
-        idx = data.indices
-        if idx is None:
-            idx = np.arange(len(data))
-        return data.points, idx
     pts = as_points(data)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise DegenerateInputError("trajectory is empty")
-    return pts, np.arange(pts.shape[0])
+    idx = data.indices if isinstance(data, PointSet) else None
+    return pts, (np.arange(pts.shape[0]) if idx is None else idx)
 
 
 def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = None) -> PointSet:

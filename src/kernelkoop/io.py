@@ -21,7 +21,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,12 +53,6 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def comment_block(params: Mapping[str, object] | None) -> str:
-    if not params:
-        return ""
-    return "".join(f"# {key} = {value}\n" for key, value in params.items())
-
-
 _KERNEL = "kernel."
 
 
@@ -80,7 +74,8 @@ def write_rows_csv(path, header: Sequence[str], rows, params=None) -> None:
 def _write_columns(path, header: Sequence[str], columns, params) -> None:
     cells = [_column_cells(column) for column in columns]
     body = "".join([",".join(row) + "\n" for row in zip(*cells)])
-    atomic_write_text(path, comment_block(params) + ",".join(header) + "\n" + body)
+    comments = "".join(f"# {key} = {value}\n" for key, value in (params or {}).items())
+    atomic_write_text(path, comments + ",".join(header) + "\n" + body)
 
 
 def _column_cells(column):

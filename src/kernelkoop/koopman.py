@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -68,14 +67,6 @@ class TrajectoryDataset:
     def output_dim(self) -> int:
         return self.y_next.shape[1]
 
-    @classmethod
-    def from_records(cls, records: Sequence[tuple]) -> "TrajectoryDataset":
-        """Build from an iterable of (k, x, x_next, y_next) tuples."""
-        if not records:
-            raise DegenerateInputError("dataset is empty")
-        k, x, x_next, y_next = zip(*records)
-        return cls(np.array(k), np.array(x), np.array(x_next), np.array(y_next))
-
 
 class EstimateMode(enum.Enum):
     PULLBACK = "pullback"
@@ -109,9 +100,6 @@ class KoopmanEstimate:
     @property
     def output_dim(self) -> int:
         return self.alpha.shape[1]
-
-    def predict(self, x) -> np.ndarray:
-        return predict(self, x)
 
 
 @dataclass

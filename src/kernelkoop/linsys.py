@@ -64,25 +64,30 @@ def spectral_diagnostics(K) -> SpectralDiagnostics:
     return SpectralDiagnostics(lam_min, lam_max, cond)
 
 
+def _parse_jitter(jitter_policy, what: str = "jitter_policy") -> float:
+    """The first jitter of a policy: 0 for "none" and "auto", else the fixed finite jitter >= 0."""
+    if jitter_policy in ("none", "auto"):
+        return 0.0
+    try:
+        jitter = float(jitter_policy)
+    except (TypeError, ValueError):
+        jitter = float("nan")
+    if not np.isfinite(jitter) or jitter < 0:
+        raise InvalidArgumentError(
+            f"{what} must be 'none', 'auto' or a finite float >= 0, got {jitter_policy!r}"
+        )
+    return jitter
+
+
 def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
     """Solve (K + jitter*I) alpha = rhs with K symmetric positive definite.
 
     ``jitter_policy`` is ``"none"`` (fail on factorization failure, the
-    default so conditioning studies measure raw matrices), a fixed float
-    jitter, or ``"auto"`` which retries with jitter escalating through
+    default so conditioning studies measure raw matrices), a fixed finite
+    jitter >= 0, or ``"auto"`` which retries with jitter escalating through
     {1e-12, 1e-10, 1e-8} * trace(K)/M after a failure at zero.
     """
-    if jitter_policy in ("none", "auto"):
-        ladder = [0.0]
-    else:
-        try:
-            ladder = [float(jitter_policy)]
-        except (TypeError, ValueError):
-            raise InvalidArgumentError(
-                f"jitter_policy must be 'none', 'auto' or a float, got {jitter_policy!r}"
-            ) from None
-        if ladder[0] < 0:
-            raise InvalidArgumentError("fixed jitter must be nonnegative")
+    ladder = [_parse_jitter(jitter_policy)]
     K = np.asarray(K, dtype=float)
     b = np.asarray(rhs, dtype=float)
     squeeze = b.ndim == 1

@@ -4,6 +4,7 @@ from scipy.spatial.distance import cdist
 
 from conftest import synthetic_gait_frames, write_marker_csv
 from kernelkoop import cli, subselect_centers
+from kernelkoop import io as kio
 from kernelkoop.cli import ETA_37_CENTERS, main
 from kernelkoop.io import read_estimate_csv, read_trajectory_csv
 
@@ -118,7 +119,7 @@ def test_convergence_slope_reported(tmp_path):
 
 
 def test_conditioning_table_structure(tmp_path):
-    assert main(["--out", str(tmp_path), "--threads", "2", "conditioning"]) == 0
+    assert main(["--out", str(tmp_path), "conditioning"]) == 0
     _, header, rows = _read_table(tmp_path / "conditioning.csv")
     assert header == ["kernel", "beta", "spacing", "M", "separation", "cond", "lambda_min"]
     ms = sorted({int(r[header.index("M")]) for r in rows})
@@ -227,15 +228,6 @@ def test_missing_trajectory_file_is_io_error(tmp_path):
     assert main(["--out", str(tmp_path), "fit"]) == 4
 
 
-def test_threads_do_not_change_output(tmp_path):
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert main(["--out", str(a), "--threads", "1", "conditioning"]) == 0
-    assert main(["--out", str(b), "--threads", "4", "conditioning"]) == 0
-    assert main(["--out", str(c), "--threads", "2", "conditioning"]) == 0
-    assert (a / "conditioning.csv").read_bytes() == (b / "conditioning.csv").read_bytes()
-    assert (a / "conditioning.csv").read_bytes() == (c / "conditioning.csv").read_bytes()
-
-
 def test_conditioning_subselects_once_per_distinct_spacing(tmp_path, monkeypatch):
     calls = []
 
@@ -249,10 +241,67 @@ def test_conditioning_subselects_once_per_distinct_spacing(tmp_path, monkeypatch
     assert sorted(calls) == sorted(set(spacings))
 
 
-def test_threads_below_one_is_a_config_error(tmp_path, capsys):
-    assert main(["--out", str(tmp_path), "--threads", "-3", "conditioning"]) == 2
-    assert "--threads" in capsys.readouterr().err
-    assert not (tmp_path / "conditioning.csv").exists()
+@pytest.mark.parametrize(
+    "command, setting, column, kept",
+    [
+        ("convergence", "[convergence]\netas = 9, 1.8, 1.2, 0.8\n", "eta", ["1.8", "1.2", "0.8"]),
+        ("conditioning", "[conditioning]\nkernels = wendland_c4\nspacings = 9, 1.6\n",
+         "spacing", ["1.6"]),
+        ("mineig", "[mineig]\nbase_etas = 9, 1.2\ndeltas = 0.5, 0.25\n", "base_eta", ["1.2", "1.2"]),
+    ],
+    ids=["convergence", "conditioning", "mineig"],
+)
+def test_sweep_cell_with_fewer_than_two_centers_is_skipped(
+    tmp_path, capsys, command, setting, column, kept
+):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(setting)
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--out", str(tmp_path), command]) == 0
+    assert capsys.readouterr().err == f"warning: {column}=9.0 keeps fewer than 2 centers, skipped\n"
+    _, header, rows = _read_table(tmp_path / f"{command}.csv")
+    assert [r[header.index(column)] for r in rows] == kept
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "--threads", "2", "conditioning"])
+    assert exc.value.code == 2
+    assert "invalid choice: '2'" in capsys.readouterr().err
+    assert not tmp_path.joinpath("conditioning.csv").exists()
+
+
+@pytest.mark.parametrize("jitter", ["bogus", "nan", "inf", "-1"])
+def test_bad_fit_jitter_fails_before_the_trajectory_is_read(tmp_path, capsys, monkeypatch, jitter):
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    reads = []
+    monkeypatch.setattr(kio, "read_trajectory_csv", lambda path: reads.append(path))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[fit]\njitter = {jitter}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "fit"]) == 2
+    assert "[fit] jitter must be 'none', 'auto' or a finite float >= 0" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "estimate.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("fit", "fit", "eta", "inf"),
+        ("convergence", "convergence", "error_floor", "nan"),
+        ("mocap", "mocap", "eta", "nan"),
+    ],
+)
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, command, section, key, value):
+    commands = _fit_and_mocap_inputs(tmp_path)
+    commands["convergence"] = ["convergence", "--trajectory", commands["fit"][-1]]
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *commands[command]]) == 2
+    assert f"[{section}] {key} must be finite, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_nan_output_is_a_numerical_failure(tmp_path, capsys):

@@ -57,13 +57,13 @@ def _random_dataset(rng, m, n_out=1, min_gap=0.08):
 
 
 def test_dataset_from_records_and_validation():
-    ds = TrajectoryDataset.from_records(
-        [(0, [0.0, 1.0], [0.1, 1.1], [2.0]), (1, [0.1, 1.1], [0.2, 1.2], [2.1])]
+    ds = TrajectoryDataset(
+        k=[0, 1], x=[[0.0, 1.0], [0.1, 1.1]], x_next=[[0.1, 1.1], [0.2, 1.2]], y_next=[2.0, 2.1]
     )
     assert len(ds) == 2
     assert ds.state_dim == 2 and ds.output_dim == 1
     with pytest.raises(DegenerateInputError):
-        TrajectoryDataset.from_records([])
+        TrajectoryDataset(k=[], x=np.empty((0, 2)), x_next=np.empty((0, 2)), y_next=[])
     with pytest.raises(InvalidArgumentError):
         TrajectoryDataset(k=[0, 1], x=[[0.0]], x_next=[[0.1], [0.2]], y_next=[[1.0], [1.0]])
 

@@ -156,6 +156,18 @@ def test_bad_input_fails_before_the_eigendecomposition(monkeypatch, rhs, policy)
         solve_spd(np.eye(4), rhs, jitter_policy=policy)
 
 
+@pytest.mark.parametrize(
+    "policy", [math.nan, math.inf, "nan", "inf"], ids=["nan", "inf", "nan-text", "inf-text"]
+)
+def test_non_finite_jitter_fails_before_the_eigendecomposition(monkeypatch, policy):
+    def eigvalsh(K):
+        raise AssertionError("eigvalsh reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(InvalidArgumentError, match="finite float >= 0"):
+        solve_spd(np.eye(2), np.ones(2), jitter_policy=policy)
+
+
 @pytest.mark.parametrize("policy", ["none", "auto", 0.5])
 def test_a_valid_solve_computes_the_diagnostics_once(monkeypatch, policy):
     calls = []
