@@ -32,7 +32,7 @@ from .geometry import fill_distance, nested_center_sets, separation, subselect_c
 from .kernels import KernelSpec, kernel_matrix
 from .koopman import KoopmanEstimate, TrajectoryDataset, fit_pullback, predict
 from .linsys import _parse_jitter, spectral_diagnostics
-from .mocap import extract_angles, fit_kinematics, read_marker_csv
+from .mocap import _plane_indices, extract_angles, fit_kinematics, read_marker_csv
 
 # Gate recovered by bisection so the default 256-step trajectory keeps
 # exactly 37 centers (plateau [0.229, 0.2355]); see `eta_for_center_count`.
@@ -252,12 +252,6 @@ def cmd_simulate(args, cfg) -> tuple[dict, dict, str]:
 
 
 def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
-    overrides = (
-        ("fit", "eta", args.eta), ("kernel", "family", args.family), ("kernel", "beta", args.beta)
-    )
-    for section, key, value in overrides:
-        if value is not None:
-            cfg[section][key] = str(value)
     kernel = KernelSpec.from_config(cfg["kernel"])
     eta = _float(cfg, "fit", "eta")
     grid_n = _count(cfg, "fit", "grid_n")
@@ -393,6 +387,7 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
     eta = _float(cfg, "mocap", "eta")
     grid_n = _count(cfg, "mocap", "grid_n")
     axes = (cfg["mocap"]["axis_fwd"], cfg["mocap"]["axis_up"])
+    _plane_indices(axes)
 
     frames = read_marker_csv(args.markers)
     samples = extract_angles(frames, plane_axes=axes)
@@ -455,9 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="subselect centers, fit the interpolant, emit surface grid")
     p.add_argument("--trajectory", default=None, help="trajectory CSV (default <out>/trajectory.csv)")
-    p.add_argument("--eta", type=float, default=None, help="override [fit] eta")
-    p.add_argument("--family", default=None, help="override [kernel] family")
-    p.add_argument("--beta", type=float, default=None, help="override [kernel] beta")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("convergence", help="error vs fill distance over nested center sets")

@@ -85,11 +85,11 @@ class KernelSpec:
     family : KernelFamily or str
         One of the four supported families.
     beta : float
-        Matern decay hyperparameter, dimensionless, > 0.  Unused by the
-        Wendland families.
+        Matern decay hyperparameter, dimensionless, finite and > 0.
+        Unused by the Wendland families.
     support_scale : float
-        Wendland support radius in state-coordinate units, > 0.  Unused
-        by the Matern family.
+        Wendland support radius in state-coordinate units, finite and
+        > 0.  Unused by the Matern family.
     distance_convention : DistanceConvention or str
         Only meaningful for the Matern family; default PLAIN.
     """
@@ -105,12 +105,10 @@ class KernelSpec:
         object.__setattr__(self, "distance_convention", convention)
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "support_scale", float(self.support_scale))
-        if not self.beta > 0:
-            raise InvalidArgumentError(f"beta must be > 0, got {self.beta}")
-        if not self.support_scale > 0:
-            raise InvalidArgumentError(
-                f"support_scale must be > 0, got {self.support_scale}"
-            )
+        for key in ("beta", "support_scale"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                raise InvalidArgumentError(f"{key} must be finite and > 0, got {value}")
 
     @property
     def label(self) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,8 +126,8 @@ def _rows_at_times(dataset: TrajectoryDataset, times) -> tuple[np.ndarray, np.nd
     return order[pos], sorted_k[pos] == times
 
 
-def _center_rows(dataset: TrajectoryDataset, centers: PointSet) -> np.ndarray:
-    """Positions of the subselected centers inside the dataset, via time index."""
+def _advance(dataset: TrajectoryDataset, centers: PointSet) -> tuple[PointSet, np.ndarray]:
+    """The advanced centers f(Xi) and the outputs measured there, looked up by time index."""
     if centers.indices is None:
         raise InvalidArgumentError("centers must carry trajectory indices")
     rows, found = _rows_at_times(dataset, centers.indices)
@@ -136,7 +136,13 @@ def _center_rows(dataset: TrajectoryDataset, centers: PointSet) -> np.ndarray:
         raise InvalidArgumentError(f"center time index {t} not present in dataset")
     if not np.array_equal(dataset.x[rows], centers.points):
         raise InvalidArgumentError("center coordinates disagree with dataset states")
-    return rows
+    return PointSet(dataset.x_next[rows].copy(), indices=dataset.k[rows]), dataset.y_next[rows]
+
+
+def _estimate(
+    mode: EstimateMode, centers: PointSet, advanced: PointSet, kernel: KernelSpec, report: SolveReport
+) -> KoopmanEstimate:
+    return KoopmanEstimate(mode, centers, advanced, report.coefficients, kernel, report)
 
 
 def fit_pullback(
@@ -151,76 +157,38 @@ def fit_pullback(
     The fitted estimate reproduces every training output exactly (up to
     solver tolerance) when evaluated at the advanced centers.
     """
-    rows = _center_rows(dataset, centers)
-    advanced = PointSet(dataset.x_next[rows].copy(), indices=dataset.k[rows])
-    targets = dataset.y_next[rows]
-    K = kernel_matrix(kernel, advanced, advanced)
-    report = solve_spd(K, targets, jitter_policy)
-    return KoopmanEstimate(
-        mode=EstimateMode.PULLBACK,
-        centers=centers,
-        advanced_centers=advanced,
-        alpha=report.coefficients,
-        kernel=kernel,
-        diagnostics=report,
-    )
+    advanced, targets = _advance(dataset, centers)
+    report = solve_spd(kernel_matrix(kernel, advanced, advanced), targets, jitter_policy)
+    return _estimate(EstimateMode.PULLBACK, centers, advanced, kernel, report)
 
 
 def fit_umf(
     dataset: TrajectoryDataset,
     centers: PointSet,
     kernel: KernelSpec,
-    g_at_centers: np.ndarray | None = None,
+    g_at_centers: np.ndarray,
     jitter_policy: str | float = "none",
 ) -> KoopmanEstimate:
     """Projected estimator: project g, compose with the sampled dynamics, project again.
 
     With K = K(Xi, Xi) and C = K(Xi, f(Xi)), the coefficients for each
     output component are alpha = K^-1 C^T K^-1 g(Xi), computed as two SPD
-    solves.  ``g_at_centers`` supplies g evaluated at the centers; when
-    omitted, the observable values are looked up from the dataset outputs
-    (the record advanced into each center carries its measurement).
+    solves.  ``g_at_centers`` (required) holds g evaluated at the centers,
+    one row per center.  The diagnostics are the second solve's report;
+    both solves factor the same K, so its cond, lambda_min and jitter are
+    those of the first.
     """
-    rows = _center_rows(dataset, centers)
-    advanced = PointSet(dataset.x_next[rows].copy(), indices=dataset.k[rows])
-    if g_at_centers is None:
-        g = _outputs_at_centers(dataset, centers)
-    else:
-        g = as_points(g_at_centers)
-        if g.shape[0] != len(centers):
-            raise InvalidArgumentError(
-                f"g_at_centers must have {len(centers)} rows, got {g.shape[0]}"
-            )
-    K = kernel_matrix(kernel, centers, centers)
-    C = kernel_matrix(kernel, centers, advanced)
-    first = solve_spd(K, g, jitter_policy)
-    second = solve_spd(K, C.T @ first.coefficients, jitter_policy)
-    report = replace(
-        first,
-        coefficients=second.coefficients,
-        jitter_used=max(first.jitter_used, second.jitter_used),
-    )
-    return KoopmanEstimate(
-        mode=EstimateMode.PROJECTED,
-        centers=centers,
-        advanced_centers=advanced,
-        alpha=report.coefficients,
-        kernel=kernel,
-        diagnostics=report,
-    )
-
-
-def _outputs_at_centers(dataset: TrajectoryDataset, centers: PointSet) -> np.ndarray:
-    """Observable values at the centers themselves: y at time k_i is the
-    output attached to the record advanced from time k_i - 1."""
-    rows, found = _rows_at_times(dataset, centers.indices - 1)
-    if not found.all():
-        t = int(centers.indices[~found][0])
-        raise DegenerateInputError(
-            f"no output measurement available at time {t}: "
-            f"record {t - 1} is missing (pass g_at_centers explicitly)"
+    g = as_points(g_at_centers)
+    if g.shape[0] != len(centers):
+        raise InvalidArgumentError(
+            f"g_at_centers must have {len(centers)} rows, got {g.shape[0]}"
         )
-    return dataset.y_next[rows]
+    advanced, _ = _advance(dataset, centers)
+    K = kernel_matrix(kernel, centers, centers)
+    first = solve_spd(K, g, jitter_policy)
+    C = kernel_matrix(kernel, centers, advanced)
+    report = solve_spd(K, C.T @ first.coefficients, jitter_policy)
+    return _estimate(EstimateMode.PROJECTED, centers, advanced, kernel, report)
 
 
 def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
@@ -306,7 +274,10 @@ def edmd_fit(
 
 
 def edmd_apply(op: EdmdOperator, g_coeffs, x) -> float:
-    """Evaluate (A-advanced g)(x) = g_coeffs^T A psi(x) in the kernel-section basis."""
+    """Evaluate (A-advanced g)(x) = g_coeffs^T A psi(x) in the kernel-section basis.
+
+    ``x`` is one point: a 1-D vector or a single-row (1, d) array.
+    """
     if op.basis_centers is None or op.kernel is None:
         raise InvalidArgumentError(
             "operator carries no kernel-section basis; fit with basis_centers and kernel"
@@ -316,5 +287,8 @@ def edmd_apply(op: EdmdOperator, g_coeffs, x) -> float:
         raise InvalidArgumentError(
             f"g_coeffs must have length {op.A.shape[0]}, got {coeffs.shape[0]}"
         )
-    psi = kernel_sections(op.kernel, op.basis_centers, x)[:, 0]
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if pts.shape[0] != 1:
+        raise InvalidArgumentError(f"x must be one point, got shape {np.shape(x)}")
+    psi = kernel_sections(op.kernel, op.basis_centers, pts)[:, 0]
     return float(coeffs @ op.A @ psi)

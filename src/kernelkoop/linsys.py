@@ -43,10 +43,12 @@ class SpectralDiagnostics(NamedTuple):
 
 def _check_symmetric(K) -> np.ndarray:
     K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise InvalidArgumentError(f"matrix must be square, got shape {K.shape}")
-    scale = float(np.max(np.abs(K))) if K.size else 0.0
-    asym = float(np.max(np.abs(K - K.T))) if K.size else 0.0
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.size == 0:
+        raise InvalidArgumentError(f"matrix must be square and nonempty, got shape {K.shape}")
+    scale = float(np.max(np.abs(K)))
+    if not np.isfinite(scale):
+        raise InvalidArgumentError("matrix entries must be finite")
+    asym = float(np.max(np.abs(K - K.T)))
     if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise InvalidArgumentError(
             f"matrix is not symmetric (relative asymmetry {asym / max(scale, 1e-300):.3e})"
@@ -100,7 +102,7 @@ def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
         )
     diag = spectral_diagnostics(K)
     if jitter_policy == "auto":
-        unit = float(np.trace(K)) / K.shape[0] if K.shape[0] else 1.0
+        unit = float(np.trace(K)) / K.shape[0]
         ladder += [step * unit for step in _AUTO_JITTER_STEPS]
 
     for lam in ladder:

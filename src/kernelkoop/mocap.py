@@ -78,24 +78,24 @@ class JointAngleSample:
     y2: float
 
 
-def _axis_index(axis) -> int:
-    if isinstance(axis, str):
-        try:
-            return _AXIS_NAMES[axis.strip().lower()]
-        except KeyError:
-            raise InvalidArgumentError(f"unknown axis {axis!r}; use x, y or z") from None
-    idx = int(axis)
-    if idx not in (0, 1, 2):
-        raise InvalidArgumentError(f"axis index must be 0, 1 or 2, got {idx}")
-    return idx
+def _axis_index(axis: str) -> int:
+    try:
+        return _AXIS_NAMES[axis.strip().lower()]
+    except (AttributeError, KeyError):
+        raise InvalidArgumentError(f"unknown axis {axis!r}; use x, y or z") from None
+
+
+def _plane_indices(plane_axes) -> np.ndarray:
+    """Coordinate indices of the (forward, up) axes, two distinct names of x, y and z."""
+    fwd, up = map(_axis_index, plane_axes)
+    if fwd == up:
+        raise InvalidArgumentError("plane axes must be two distinct coordinate axes")
+    return np.array([fwd, up])
 
 
 def project_sagittal(frame: MarkerFrame, plane_axes=("x", "z")) -> PlanarFrame:
     """Drop the mediolateral coordinate, keeping (forward, up) components."""
-    fwd, up = map(_axis_index, plane_axes)
-    if fwd == up:
-        raise InvalidArgumentError("plane axes must be two distinct coordinate axes")
-    sel = np.array([fwd, up])
+    sel = _plane_indices(plane_axes)
     return PlanarFrame(frame.t, *(getattr(frame, name)[..., sel] for name in _MARKERS))
 
 

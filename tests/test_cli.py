@@ -63,9 +63,11 @@ def test_fit_beta_sweep_grids_finite(tmp_path):
     assert main(["--out", str(tmp_path), "simulate"]) == 0
     for beta in (5.0, 1.0, 0.5, 0.2):
         out = tmp_path / f"beta_{beta}"
+        cfg = tmp_path / f"beta_{beta}.ini"
+        cfg.write_text(f"[kernel]\nbeta = {beta}\n")
         code = main(
-            ["--out", str(out), "fit", "--trajectory", str(tmp_path / "trajectory.csv"),
-             "--beta", str(beta)]
+            ["--config", str(cfg), "--out", str(out), "fit",
+             "--trajectory", str(tmp_path / "trajectory.csv")]
         )
         assert code == 0
         _, header, rows = _read_table(out / "fit_surface.csv")
@@ -75,7 +77,9 @@ def test_fit_beta_sweep_grids_finite(tmp_path):
 
 def test_fit_wendland_grid_zero_outside_support(tmp_path):
     assert main(["--out", str(tmp_path), "simulate"]) == 0
-    code = main(["--out", str(tmp_path), "fit", "--family", "wendland_c2"])
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[kernel]\nfamily = wendland_c2\n")
+    code = main(["--config", str(cfg), "--out", str(tmp_path), "fit"])
     assert code == 0
     est = read_estimate_csv(tmp_path / "estimate.csv")
     _, header, rows = _read_table(tmp_path / "fit_surface.csv")
@@ -270,6 +274,66 @@ def test_threads_option_is_gone(tmp_path, capsys):
     assert exc.value.code == 2
     assert "invalid choice: '2'" in capsys.readouterr().err
     assert not tmp_path.joinpath("conditioning.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--eta", "0.3"), ("--family", "wendland_c2"), ("--beta", "0.2")]
+)
+def test_fit_setting_flags_are_gone(tmp_path, capsys, flag, value):
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "fit", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "estimate.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("axis_fwd = w", "unknown axis 'w'; use x, y or z"),
+        ("axis_up = 2", "unknown axis '2'; use x, y or z"),
+        ("axis_up = X", "plane axes must be two distinct coordinate axes"),
+    ],
+    ids=["fwd-unknown", "up-digit", "up-duplicate"],
+)
+def test_bad_mocap_axis_fails_before_the_markers_are_read(
+    tmp_path, capsys, monkeypatch, setting, message
+):
+    reads = []
+    monkeypatch.setattr(cli, "read_marker_csv", lambda path: reads.append(path))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[mocap]\n{setting}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "mocap", "--markers", "m.csv"]) == 2
+    assert message in capsys.readouterr().err
+    assert reads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("fit", "[kernel]\nbeta = inf\n", "beta must be finite and > 0, got inf"),
+        ("fit", "[kernel]\nfamily = wendland_c4\nsupport_scale = inf\n",
+         "support_scale must be finite and > 0, got inf"),
+        ("mocap", "[mocap]\nbeta = inf\n", "beta must be finite and > 0, got inf"),
+        ("mocap", "[mocap]\nsupport_scale = -inf\n", "support_scale must be finite and > 0"),
+        ("conditioning", "[conditioning]\nkernels = matern:inf\n",
+         "beta must be finite and > 0, got inf"),
+        ("mineig", "[mineig]\nkernel = matern:inf\n", "beta must be finite and > 0, got inf"),
+    ],
+    ids=["kernel-beta", "kernel-support", "mocap-beta", "mocap-support", "token", "mineig-token"],
+)
+def test_non_finite_kernel_parameter_is_a_config_error(tmp_path, capsys, command, text, message):
+    commands = _fit_and_mocap_inputs(tmp_path)
+    commands.update(conditioning=["conditioning"], mineig=["mineig"])
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *commands[command]]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jitter", ["bogus", "nan", "inf", "-1"])

@@ -179,6 +179,16 @@ def test_spec_validation():
         KernelSpec("gaussian")
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", ["beta", "support_scale"])
+def test_spec_rejects_non_finite_parameters(key, value):
+    with pytest.raises(InvalidArgumentError, match=f"{key} must be finite and > 0"):
+        KernelSpec("matern_sobolev32", **{key: value})
+    with pytest.raises(InvalidArgumentError, match=f"{key} must be finite and > 0"):
+        KernelSpec.from_config({"family": "wendland_c4", key: str(value)})
+    assert getattr(KernelSpec("wendland_c4", **{key: 5e-324}), key) == 5e-324
+
+
 def test_spec_config_round_trip():
     spec = KernelSpec("wendland_c6", beta=2.5, support_scale=0.75, distance_convention="squared")
     again = KernelSpec.from_config(spec.to_config())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kernelkoop import (
     KernelSpec,
     PendulumConfig,
     PointSet,
+    SolveReport,
     TrajectoryDataset,
     edmd_apply,
     edmd_fit,
@@ -21,6 +23,7 @@ from kernelkoop import (
     fit_umf,
     kernel_matrix,
     kernel_sections,
+    observable_G,
     predict,
     simulate,
     solve_spd,
@@ -182,21 +185,28 @@ def test_umf_identity_dynamics_reduces_to_interpolation(kern):
     np.testing.assert_allclose(predict(est, pts), g, atol=1e-8)
 
 
-def test_umf_derives_g_from_dataset_outputs():
-    # sequential pendulum data: g at time k is the output of record k-1
-    ds = simulate(PendulumConfig(steps=40))
-    idx = np.array([3, 11, 24, 38])
-    centers = PointSet(ds.x[idx].copy(), indices=ds.k[idx])
-    est = fit_umf(ds, centers, MATERN1)
-    explicit = fit_umf(ds, centers, MATERN1, g_at_centers=ds.y_next[idx - 1])
-    np.testing.assert_allclose(est.alpha, explicit.alpha, rtol=1e-14)
+@pytest.mark.parametrize("jitter", ["none", "auto", 1e-9])
+def test_umf_diagnostics_are_the_second_solve_report(jitter):
+    ds = simulate(PendulumConfig(steps=60))
+    centers = subselect_centers(ds, 0.3)
+    g = observable_G(centers.points)[:, None]
+    est = fit_umf(ds, centers, MATERN1, g_at_centers=g, jitter_policy=jitter)
+    K = kernel_matrix(MATERN1, centers, centers)
+    C = kernel_matrix(MATERN1, centers, est.advanced_centers)
+    first = solve_spd(K, g, jitter)
+    second = solve_spd(K, C.T @ first.coefficients, jitter)
+    for field in fields(SolveReport):
+        assert np.array_equal(getattr(est.diagnostics, field.name), getattr(second, field.name))
+    assert np.array_equal(est.alpha, second.coefficients)
 
 
-def test_umf_missing_predecessor_record():
+def test_umf_requires_g_at_centers():
     ds = simulate(PendulumConfig(steps=10))
-    centers = PointSet(ds.x[[0]].copy(), indices=[0])
-    with pytest.raises(DegenerateInputError):
+    centers = PointSet(ds.x[[2, 5]].copy(), indices=[2, 5])
+    with pytest.raises(TypeError):
         fit_umf(ds, centers, MATERN1)
+    with pytest.raises(InvalidArgumentError):
+        fit_umf(ds, centers, MATERN1, g_at_centers=np.zeros((3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +263,17 @@ def test_edmd_apply_requires_basis():
     op = edmd_fit(np.array([[2.0]]), np.array([[4.0]]))
     with pytest.raises(InvalidArgumentError):
         edmd_apply(op, np.array([1.0]), np.array([0.0]))
+
+
+def test_edmd_apply_rejects_a_batch_of_points():
+    rng = np.random.default_rng(31)
+    centers = PointSet(rng.uniform(size=(5, 2)), indices=np.arange(5))
+    op = edmd_fit(np.eye(5), np.eye(5), basis_centers=centers, kernel=MATERN1)
+    coeffs = rng.normal(size=5)
+    x = rng.uniform(size=(3, 2))
+    with pytest.raises(InvalidArgumentError, match="one point"):
+        edmd_apply(op, coeffs, x)
+    assert edmd_apply(op, coeffs, x[:1]) == edmd_apply(op, coeffs, x[0])
 
 
 def test_edmd_equals_projected_estimator_on_pendulum():

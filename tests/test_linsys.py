@@ -179,3 +179,26 @@ def test_a_valid_solve_computes_the_diagnostics_once(monkeypatch, policy):
     monkeypatch.setattr(linsys, "spectral_diagnostics", counted)
     solve_spd(np.diag([2.0, 1.0]), np.ones(2), jitter_policy=policy)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("policy", ["none", "auto", 0.5])
+def test_non_finite_matrix_fails_before_the_eigendecomposition(monkeypatch, entry, policy):
+    def eigvalsh(K):
+        raise AssertionError("eigvalsh reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    K = np.eye(3)
+    K[1, 1] = entry
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        solve_spd(K, np.ones(3), jitter_policy=policy)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        spectral_diagnostics(K)
+
+
+@pytest.mark.parametrize("policy", ["none", "auto", 0.5])
+def test_empty_matrix_is_an_invalid_argument(policy):
+    with pytest.raises(InvalidArgumentError, match="nonempty"):
+        solve_spd(np.zeros((0, 0)), np.zeros(0), jitter_policy=policy)
+    with pytest.raises(InvalidArgumentError, match="nonempty"):
+        spectral_diagnostics(np.zeros((0, 0)))

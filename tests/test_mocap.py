@@ -40,6 +40,14 @@ def test_project_selects_configured_axes():
         project_sagittal(frame, plane_axes=("x", "x"))
 
 
+@pytest.mark.parametrize("axes", [(0, 2), ("x", 2), ("x", "w"), ("", "z")])
+def test_project_accepts_only_axis_names(axes):
+    frame = MarkerFrame(t=0, hip=[1.0, 2.0, 3.0], knee=[4.0, 5.0, 6.0], ankle=[7.0, 8.0, 9.0])
+    with pytest.raises(InvalidArgumentError, match="use x, y or z"):
+        project_sagittal(frame, plane_axes=axes)
+    assert project_sagittal(frame, plane_axes=(" Y", "Z")).hip.tolist() == [2.0, 3.0]
+
+
 def test_project_idempotent_on_planar_data():
     frame = MarkerFrame(t=0, hip=[0.1, 0.0, 0.9], knee=[0.2, 0.0, 0.5], ankle=[0.3, 0.0, 0.1])
     once = project_sagittal(frame)
