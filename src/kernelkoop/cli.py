@@ -256,7 +256,7 @@ def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
     eta = _float(cfg, "fit", "eta")
     grid_n = _count(cfg, "fit", "grid_n")
     _parse_jitter(cfg["fit"]["jitter"], "[fit] jitter")
-    dataset = kio.read_trajectory_csv(_trajectory_path(args))
+    dataset, dynamics = _read_trajectory(args)
 
     centers = subselect_centers(dataset, eta)
     estimate = fit_pullback(dataset, centers, kernel, jitter_policy=cfg["fit"]["jitter"])
@@ -268,7 +268,7 @@ def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
         "fit.eta": kio.fmt(eta),
         "fit.grid_n": grid_n,
         **kio._kernel_params(kernel),
-        **_dynamics_params(cfg),
+        **dynamics,
     }
     artifacts = {
         "estimate.csv": estimate,
@@ -283,7 +283,7 @@ def cmd_convergence(args, cfg) -> tuple[dict, dict, str]:
     kernel = KernelSpec.from_config(cfg["kernel"])
     etas = _float_list(cfg, "convergence", "etas")
     floor = _float(cfg, "convergence", "error_floor")
-    dataset = kio.read_trajectory_csv(_trajectory_path(args))
+    dataset, dynamics = _read_trajectory(args)
     states = _all_states(dataset)
 
     def cell(eta, centers):
@@ -306,7 +306,7 @@ def cmd_convergence(args, cfg) -> tuple[dict, dict, str]:
 
     params = {
         **kio._kernel_params(kernel),
-        **_dynamics_params(cfg),
+        **dynamics,
         "convergence.etas": cfg["convergence"]["etas"],
         "loglog_slope": kio.fmt(slope),
         "loglog_intercept": kio.fmt(intercept),
@@ -424,10 +424,13 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
 # argument parsing
 
 
-def _trajectory_path(args) -> Path:
-    if args.trajectory is not None:
-        return Path(args.trajectory)
-    return Path(args.out) / "trajectory.csv"
+def _read_trajectory(args) -> tuple[TrajectoryDataset, dict[str, str]]:
+    """The ``--trajectory`` file (default <out>/trajectory.csv) and its ``dynamics.*`` comments."""
+    path = Path(args.out) / "trajectory.csv" if args.trajectory is None else Path(args.trajectory)
+    dataset = kio.read_trajectory_csv(path)
+    with open(path, encoding="utf-8") as fh:  # the comment block only, not the body again
+        comments, _ = kio._read_header(fh, path)
+    return dataset, {k: v for k, v in comments.items() if k.startswith("dynamics.")}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,6 +54,12 @@ def atomic_write_text(path, text: str) -> None:
 
 
 _KERNEL = "kernel."
+_KERNEL_KEYS = ("family", "beta", "support_scale", "distance_convention")
+# the comment block of an estimate file, in written order; the reader requires every key
+_ESTIMATE_KEYS = (
+    "mode", *(_KERNEL + key for key in _KERNEL_KEYS),
+    "condition_number", "min_eigenvalue", "jitter_used",
+)
 
 
 def _kernel_params(kernel: KernelSpec) -> dict[str, str]:
@@ -74,7 +80,8 @@ def write_rows_csv(path, header: Sequence[str], rows, params=None) -> None:
 def _write_columns(path, header: Sequence[str], columns, params) -> None:
     cells = [_column_cells(column) for column in columns]
     body = "".join([",".join(row) + "\n" for row in zip(*cells)])
-    comments = "".join(f"# {key} = {value}\n" for key, value in (params or {}).items())
+    # a multi-line config value (its lines joined by '\n') stays on its one comment line
+    comments = "".join(f"# {k} = {v}".replace("\n", " ") + "\n" for k, v in (params or {}).items())
     atomic_write_text(path, comments + ",".join(header) + "\n" + body)
 
 
@@ -138,19 +145,29 @@ def _read_body(fh, path, **loadtxt_args) -> np.ndarray:
         raise CsvFormatError(f"{path}: bad row ({exc})") from None
 
 
+def _names(pattern: str, count: int) -> list[str]:
+    return [pattern.format(i + 1) for i in range(count)]
+
+
+def _split(path, header: list[str], layout, what: str, values: np.ndarray):
+    """The d-, d- and n-wide column blocks of a table whose header is exactly ``layout(d, n)``."""
+    for d in range(1, (len(header) - 2) // 2 + 1):
+        if header == layout(d, len(header) - 1 - 2 * d):
+            return [np.ascontiguousarray(b) for b in np.split(values, [d, 2 * d], axis=1)]
+    raise CsvFormatError(f"{path}: unrecognized {what} header {header}")
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
 
+def _trajectory_header(d: int, n: int) -> list[str]:
+    outputs = ["y_next"] if n == 1 else _names("y{}_next", n)
+    return ["k", *_names("x{}", d), *_names("x{}_next", d), *outputs]
+
+
 def write_trajectory_csv(path, dataset: TrajectoryDataset, params=None) -> None:
-    d = dataset.state_dim
-    n = dataset.output_dim
-    header = (
-        ["k"]
-        + [f"x{i + 1}" for i in range(d)]
-        + [f"x{i + 1}_next" for i in range(d)]
-        + (["y_next"] if n == 1 else [f"y{i + 1}_next" for i in range(n)])
-    )
+    header = _trajectory_header(dataset.state_dim, dataset.output_dim)
     columns = [dataset.k, *dataset.x.T, *dataset.x_next.T, *dataset.y_next.T]
     _write_columns(path, header, columns, params)
 
@@ -159,20 +176,8 @@ def read_trajectory_csv(path) -> TrajectoryDataset:
     _, header, k, values = _read_table(path)
     if not len(k):
         raise CsvFormatError(f"{path}: no trajectory records")
-    if header[0] != "k":
-        raise CsvFormatError(f"{path}: first column must be 'k', got {header[0]!r}")
-    state_cols = [c for c in header if c.startswith("x") and not c.endswith("_next")]
-    next_cols = [c for c in header if c.startswith("x") and c.endswith("_next")]
-    out_cols = [c for c in header if c.startswith("y")]
-    if not state_cols or len(state_cols) != len(next_cols) or not out_cols:
-        raise CsvFormatError(f"{path}: unrecognized trajectory header {header}")
-
-    def block(cols):
-        return np.ascontiguousarray(values[:, [header.index(c) - 1 for c in cols]])
-
-    return TrajectoryDataset(
-        k=k, x=block(state_cols), x_next=block(next_cols), y_next=block(out_cols)
-    )
+    x, x_next, y_next = _split(path, header, _trajectory_header, "trajectory", values)
+    return TrajectoryDataset(k=k, x=x, x_next=x_next, y_next=y_next)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +189,12 @@ def _indices(points: PointSet) -> np.ndarray:
     return points.indices if points.indices is not None else np.arange(len(points))
 
 
+def _pointset_header(d: int) -> list[str]:
+    return ["idx", *_names("x{}", d)]
+
+
 def write_pointset_csv(path, points: PointSet, params=None) -> None:
-    header = ["idx"] + [f"x{i + 1}" for i in range(points.dim)]
+    header = _pointset_header(points.dim)
     _write_columns(path, header, [_indices(points), *points.points.T], params)
 
 
@@ -193,8 +202,8 @@ def read_pointset_csv(path) -> PointSet:
     _, header, idx, pts = _read_table(path)
     if not len(idx):
         raise CsvFormatError(f"{path}: empty point set")
-    if header[0] != "idx":
-        raise CsvFormatError(f"{path}: first column must be 'idx', got {header[0]!r}")
+    if len(header) < 2 or header != _pointset_header(len(header) - 1):
+        raise CsvFormatError(f"{path}: unrecognized point-set header {header}")
     return PointSet(pts, indices=idx)
 
 
@@ -202,25 +211,20 @@ def read_pointset_csv(path) -> PointSet:
 # fitted estimates
 
 
+def _estimate_header(d: int, n: int) -> list[str]:
+    return ["idx", *_names("c{}", d), *_names("a{}", d), *_names("alpha{}", n)]
+
+
 def write_estimate_csv(path, estimate: KoopmanEstimate, params=None) -> None:
     report = estimate.diagnostics
-    meta = {
-        **(params or {}),
-        "mode": estimate.mode.value,
-        **_kernel_params(estimate.kernel),
-        "condition_number": fmt(report.condition_number),
-        "min_eigenvalue": fmt(report.min_eigenvalue),
-        "jitter_used": fmt(report.jitter_used),
-    }
-
-    d = estimate.centers.dim
-    n = estimate.output_dim
-    header = (
-        ["idx"]
-        + [f"c{i + 1}" for i in range(d)]
-        + [f"a{i + 1}" for i in range(d)]
-        + [f"alpha{i + 1}" for i in range(n)]
-    )
+    kernel = estimate.kernel.to_config()
+    values = [
+        estimate.mode.value,
+        *(kernel[key] for key in _KERNEL_KEYS),
+        *map(fmt, (report.condition_number, report.min_eigenvalue, report.jitter_used)),
+    ]
+    meta = {**(params or {}), **dict(zip(_ESTIMATE_KEYS, values))}
+    header = _estimate_header(estimate.centers.dim, estimate.output_dim)
     columns = [
         _indices(estimate.centers),
         *estimate.centers.points.T,
@@ -234,31 +238,20 @@ def read_estimate_csv(path) -> KoopmanEstimate:
     comments, header, idx, data = _read_table(path)
     if not len(idx):
         raise CsvFormatError(f"{path}: estimate file has no centers")
-    if "mode" not in comments:
-        raise CsvFormatError(f"{path}: missing 'mode' in the comment block")
-    d = sum(1 for c in header if c.startswith("c"))
-    n = sum(1 for c in header if c.startswith("alpha"))
-    if d == 0 or n == 0 or len(header) != 1 + 2 * d + n:
-        raise CsvFormatError(f"{path}: unrecognized estimate header {header}")
-    centers = PointSet(np.ascontiguousarray(data[:, :d]), indices=idx)
-    advanced = PointSet(np.ascontiguousarray(data[:, d : 2 * d]), indices=idx)
-    alpha = np.ascontiguousarray(data[:, 2 * d :])
-    kernel_config = {k.removeprefix(_KERNEL): v for k, v in comments.items() if k.startswith(_KERNEL)}
+    centers, advanced, alpha = _split(path, header, _estimate_header, "estimate", data)
     try:
-        kernel = KernelSpec.from_config(kernel_config)
-        mode = EstimateMode(comments["mode"])
-        report = SolveReport(
-            coefficients=alpha,
-            condition_number=float(comments.get("condition_number", "nan")),
-            min_eigenvalue=float(comments.get("min_eigenvalue", "nan")),
-            jitter_used=float(comments.get("jitter_used", "0.0")),
-        )
+        mode, *kernel_config, cond, lam, jitter = [comments[key] for key in _ESTIMATE_KEYS]
+        kernel = KernelSpec.from_config(dict(zip(_KERNEL_KEYS, kernel_config)))
+        mode = EstimateMode(mode)
+        report = SolveReport(alpha, float(cond), float(lam), float(jitter))
+    except KeyError as exc:
+        raise CsvFormatError(f"{path}: missing {exc} in the comment block") from None
     except ValueError as exc:
         raise CsvFormatError(f"{path}: bad comment ({exc})") from None
     return KoopmanEstimate(
         mode=mode,
-        centers=centers,
-        advanced_centers=advanced,
+        centers=PointSet(centers, indices=idx),
+        advanced_centers=PointSet(advanced, indices=idx),
         alpha=alpha,
         kernel=kernel,
         diagnostics=report,

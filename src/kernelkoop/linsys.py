@@ -48,7 +48,8 @@ def _check_symmetric(K) -> np.ndarray:
     scale = float(np.max(np.abs(K)))
     if not np.isfinite(scale):
         raise InvalidArgumentError("matrix entries must be finite")
-    asym = float(np.max(np.abs(K - K.T)))
+    with np.errstate(over="ignore"):  # a difference overflowing to inf is asymmetric
+        asym = float(np.max(np.abs(K - K.T)))
     if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise InvalidArgumentError(
             f"matrix is not symmetric (relative asymmetry {asym / max(scale, 1e-300):.3e})"

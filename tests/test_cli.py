@@ -542,3 +542,51 @@ def test_input_that_is_not_utf8_fails_with_its_exit_code(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "decode" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, key, lines, header",
+    [
+        ("convergence", "convergence", "etas", ["1.8, 1.2,", "0.8, 0.55"], "eta"),
+        ("conditioning", "conditioning", "kernels", ["wendland_c2", "matern:0.5"], "kernel"),
+    ],
+)
+def test_multi_line_config_value_is_one_comment_line(tmp_path, command, section, key, lines, header):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{section}]\n{key} = {lines[0]}\n  {lines[1]}\n")
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path), command]) == 0
+    text = (tmp_path / f"{command}.csv").read_text().splitlines()
+    first = next(line for line in text if not line.startswith("#"))
+    assert first.split(",")[0] == header
+    assert f"# {section}.{key} = {' '.join(lines)}" in text
+
+
+def test_fit_and_convergence_record_the_dynamics_of_their_trajectory(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[dynamics]\nsteps = 100\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "simulate"]) == 0
+    assert main(["--out", str(tmp_path), "fit"]) == 0
+    assert main(["--out", str(tmp_path), "convergence"]) == 0
+    for name in ("estimate.csv", "fit_diagnostics.csv", "convergence.csv"):
+        comments, _, _ = _read_table(tmp_path / name)
+        assert comments["dynamics.steps"] == "100", name
+
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines(True)
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(line for line in lines if not line.startswith("#")))
+    out = tmp_path / "bare"
+    assert main(["--out", str(out), "fit", "--trajectory", str(bare)]) == 0
+    for name in ("estimate.csv", "fit_diagnostics.csv"):
+        comments, _, _ = _read_table(out / name)
+        assert not [key for key in comments if key.startswith("dynamics.")], name
+
+
+def test_fit_trajectory_with_swapped_columns_is_an_io_error(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    path = tmp_path / "trajectory.csv"
+    path.write_text(path.read_text().replace("x1_next,x2_next", "x2_next,x1_next"))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "fit", "--trajectory", str(path)]) == 4
+    assert "unrecognized trajectory header" in capsys.readouterr().err
+    assert not out.exists()

@@ -175,3 +175,90 @@ def test_readers_return_c_contiguous_arrays(tmp_path):
     for name, array in arrays.items():
         assert array.flags.c_contiguous, name
         assert array.dtype == (np.int64 if "idx" in name or name == "k" else np.float64), name
+
+
+def _written_files(tmp_path):
+    """A trajectory, a point set and an estimate as the package writes them, by file name."""
+    ds = simulate(PendulumConfig(steps=30))
+    est = fit_pullback(ds, subselect_centers(ds, 0.5), KernelSpec("matern_sobolev32"))
+    write_trajectory_csv(tmp_path / "trajectory.csv", ds)
+    write_pointset_csv(tmp_path / "points.csv", est.centers)
+    write_estimate_csv(tmp_path / "estimate.csv", est)
+    return {name: tmp_path / name for name in ("trajectory.csv", "points.csv", "estimate.csv")}
+
+
+def _rewrite_columns(path, header):
+    """Rewrite a CSV with the columns named in ``header``, cells moved with their names.
+
+    A name the file lacks becomes a new column of zeros.
+    """
+    lines = path.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    old = lines[start].split(",")
+    rows = [dict(zip(old, line.split(","))) for line in lines[start + 1 :]]
+    body = [",".join(row.get(name, "0.0") for name in header) for row in rows]
+    path.write_text("\n".join(lines[:start] + [",".join(header)] + body) + "\n")
+
+
+REARRANGED_COLUMNS = {
+    "trajectory-swapped-next-states": ("trajectory.csv", "k,x1,x2,x2_next,x1_next,y_next"),
+    "trajectory-swapped-states": ("trajectory.csv", "k,x2,x1,x1_next,x2_next,y_next"),
+    "trajectory-output-first": ("trajectory.csv", "k,y_next,x1,x2,x1_next,x2_next"),
+    "trajectory-extra-column": ("trajectory.csv", "k,x1,x2,x1_next,x2_next,y_next,extra"),
+    "points-swapped": ("points.csv", "idx,x2,x1"),
+    "points-extra-column": ("points.csv", "idx,x1,x2,extra"),
+    "points-no-coordinates": ("points.csv", "idx"),
+    "estimate-alpha-first": ("estimate.csv", "idx,alpha1,c1,c2,a1,a2"),
+    "estimate-swapped-blocks": ("estimate.csv", "idx,a1,a2,c1,c2,alpha1"),
+    "estimate-swapped-centers": ("estimate.csv", "idx,c2,c1,a1,a2,alpha1"),
+    "estimate-extra-column": ("estimate.csv", "idx,c1,c2,a1,a2,alpha1,extra"),
+}
+READERS = {
+    "trajectory.csv": read_trajectory_csv,
+    "points.csv": read_pointset_csv,
+    "estimate.csv": read_estimate_csv,
+}
+
+
+@pytest.mark.parametrize("name, header", REARRANGED_COLUMNS.values(), ids=REARRANGED_COLUMNS)
+def test_readers_reject_rearranged_or_extra_columns(tmp_path, name, header):
+    path = _written_files(tmp_path)[name]
+    READERS[name](path)
+    _rewrite_columns(path, header.split(","))
+    with pytest.raises(CsvFormatError, match=f"{name}: unrecognized .* header"):
+        READERS[name](path)
+
+
+ESTIMATE_COMMENTS = [
+    "mode",
+    "kernel.family",
+    "kernel.beta",
+    "kernel.support_scale",
+    "kernel.distance_convention",
+    "condition_number",
+    "min_eigenvalue",
+    "jitter_used",
+]
+
+
+def test_estimate_writer_emits_exactly_the_required_comments(tmp_path):
+    lines = _written_files(tmp_path)["estimate.csv"].read_text().splitlines()
+    keys = [line[2:].partition(" = ")[0] for line in lines if line.startswith("#")]
+    assert keys == ESTIMATE_COMMENTS
+
+
+@pytest.mark.parametrize("key", ESTIMATE_COMMENTS)
+def test_read_estimate_requires_every_comment(tmp_path, key):
+    path = _written_files(tmp_path)["estimate.csv"]
+    lines = path.read_text().splitlines(True)
+    path.write_text("".join(line for line in lines if not line.startswith(f"# {key} =")))
+    with pytest.raises(CsvFormatError, match=f"estimate.csv: missing '{key}'"):
+        read_estimate_csv(path)
+
+
+def test_multi_line_comment_values_are_written_on_one_line(tmp_path):
+    ds = simulate(PendulumConfig(steps=3))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, ds, {"etas": "1.8, 1.2,\n0.8, 0.55", "steps": 3})
+    assert path.read_text().startswith("# etas = 1.8, 1.2, 0.8, 0.55\n# steps = 3\nk,")
+    assert read_trajectory_csv(path).k.tolist() == [0, 1, 2]

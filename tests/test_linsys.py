@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ def test_spectral_diagnostics_matern_pair_oracle():
     assert lam_min == pytest.approx(0.51665, abs=1e-5)
     assert lam_max == pytest.approx(1.48335, abs=1e-5)
     assert cond == pytest.approx(2.8711, abs=2e-4)
+
+
+def test_asymmetry_overflowing_the_difference_is_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="not symmetric"):
+            spectral_diagnostics([[0.0, 1e308], [-1e308, 0.0]])
 
 
 def test_rejects_non_symmetric():
