@@ -8,13 +8,10 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import PointSet, as_points
+from .kernels import _MAX_ENTRIES, PointSet, as_points
 
 # States gated per block by `subselect_centers`.
 _BLOCK = 256
-# Cap on the entries of one distance temporary: 8 MiB of float64, whatever
-# the number of states or centers.
-_MAX_ENTRIES = 1 << 20
 
 
 def _states_and_indices(data) -> tuple[np.ndarray, np.ndarray]:

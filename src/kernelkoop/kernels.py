@@ -32,6 +32,9 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from .errors import ConfigError, DegenerateInputError, InvalidArgumentError
 
 _SQRT3 = math.sqrt(3.0)
+# Cap on the entries of one distance or kernel temporary: 8 MiB of float64,
+# whatever the number of points.
+_MAX_ENTRIES = 1 << 20
 
 
 class KernelFamily(enum.Enum):
@@ -196,18 +199,31 @@ def as_points(obj) -> np.ndarray:
 
 
 def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """Evaluate the radial profile on an array of Euclidean distances."""
+    """Evaluate the radial profile on an array of Euclidean distances.
+
+    The Wendland polynomials are evaluated only inside the support, d < 1
+    (NaN counts as inside, so it propagates); every other entry is 0.0,
+    which is what the truncated polynomial gives there.
+    """
     if spec.family is KernelFamily.MATERN_SOBOLEV_32:
         arg = r if spec.distance_convention is DistanceConvention.PLAIN else r * r
-        a = _SQRT3 / spec.beta
-        return (1.0 + a * arg) * np.exp(-a * arg)
+        s = (_SQRT3 / spec.beta) * arg
+        e = np.exp(-s)
+        s += 1.0
+        s *= e
+        return s
     d = r / spec.support_scale
-    t = np.maximum(1.0 - d, 0.0)
+    out = np.zeros_like(d)
+    inside = ~(d >= 1.0)
+    d = d[inside]
+    t = 1.0 - d
     if spec.family is KernelFamily.WENDLAND_C2:
-        return t**4 * (4.0 * d + 1.0)
-    if spec.family is KernelFamily.WENDLAND_C4:
-        return t**6 * (35.0 * d * d + 18.0 * d + 3.0) / 3.0
-    return t**8 * (32.0 * d**3 + 25.0 * d * d + 8.0 * d + 1.0)
+        out[inside] = t**4 * (4.0 * d + 1.0)
+    elif spec.family is KernelFamily.WENDLAND_C4:
+        out[inside] = t**6 * (35.0 * d * d + 18.0 * d + 3.0) / 3.0
+    else:
+        out[inside] = t**8 * (32.0 * d**3 + 25.0 * d * d + 8.0 * d + 1.0)
+    return out
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -29,6 +30,7 @@ from kernelkoop import (
     solve_spd,
     subselect_centers,
 )
+from kernelkoop.kernels import _MAX_ENTRIES
 
 MATERN1 = KernelSpec("matern_sobolev32", beta=1.0)
 ALL_KERNELS = [
@@ -400,3 +402,51 @@ def test_predict_permutation_invariance():
     np.testing.assert_allclose(
         predict(est, queries), predict(est_perm, queries), atol=1e-10
     )
+
+
+@pytest.mark.parametrize("n_out", [1, 2])
+@pytest.mark.parametrize("mode", list(EstimateMode), ids=lambda m: m.value)
+def test_blockwise_predict_matches_the_one_shot_product(mode, n_out):
+    m = 40
+    ds, centers = _random_dataset(np.random.default_rng(31), m, n_out=n_out, min_gap=0.01)
+    if mode is EstimateMode.PULLBACK:
+        est, base = fit_pullback(ds, centers, MATERN1), ds.x_next
+    else:
+        est, base = fit_umf(ds, centers, MATERN1, g_at_centers=ds.y_next), ds.x
+    rows = max(8, _MAX_ENTRIES // m // 8 * 8)
+    rng = np.random.default_rng(32)
+    for count in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        x = rng.uniform(-0.5, 1.5, size=(count, 2))
+        K = kernel_matrix(est.kernel, x, base)
+        one_shot = K @ est.alpha
+        got = predict(est, x)
+        assert got.shape == one_shot.shape
+        if count <= rows:
+            # one block: the very same call
+            assert np.array_equal(got, one_shot), count
+        else:
+            # BLAS rounds a row differently depending on the shape of the
+            # call and its thread split, so two calls agree to within the
+            # rounding bound of an m-term dot product each
+            bound = 2 * m * np.finfo(float).eps * (np.abs(K) @ np.abs(est.alpha))
+            assert np.all(np.abs(got - one_shot) <= bound), count
+    assert predict(est, base[0]).shape == (n_out,)
+    with pytest.raises(DegenerateInputError):
+        predict(est, np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("kern", [MATERN1, KernelSpec("wendland_c4")], ids=lambda s: s.label)
+def test_predict_memory_does_not_grow_with_the_queries(kern):
+    rng = np.random.default_rng(9)
+    grid = np.stack(np.meshgrid(np.linspace(0, 2, 20), np.linspace(0, 2, 20)), -1).reshape(-1, 2)
+    ds = TrajectoryDataset(k=np.arange(400), x=grid, x_next=grid + 0.01, y_next=rng.normal(size=400))
+    est = fit_pullback(ds, PointSet(grid.copy(), indices=np.arange(400)), kern)
+    queries = rng.uniform(0.0, 2.0, size=(20_000, 2))
+    tracemalloc.start()
+    try:
+        predict(est, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one-shot 2e4 x 400 kernel matrix alone is 61 MiB
+    assert peak < 64 * 2**20

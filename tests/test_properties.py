@@ -1,6 +1,7 @@
-"""Property tests of the shared paths: Gram assembly, batch predict, time-index lookup,
-the greedy center gate, interpolation exactness, the projected estimator against the
-least-squares operator, the CSV round trips and the joint-angle kernel."""
+"""Property tests of the shared paths: kernel profiles, Gram assembly, batch predict,
+time-index lookup, the greedy center gate, interpolation exactness, the projected
+estimator against the least-squares operator, the CSV round trips and the joint-angle
+kernel."""
 
 import math
 from dataclasses import astuple
@@ -50,6 +51,7 @@ from kernelkoop.io import (
     write_rows_csv,
     write_trajectory_csv,
 )
+from kernelkoop.kernels import _profile
 from kernelkoop.koopman import _rows_at_times
 
 FEW = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -69,14 +71,49 @@ kernels = st.one_of(
 
 
 @FEW
-@given(kernels, point_sets)
+@given(st.one_of(kernels, st.just(KernelSpec("matern", distance_convention="squared"))), point_sets)
 def test_gram_matches_pointwise_kernel_and_cross_path(spec, pts):
     assume(len(pts) < 2 or pdist(pts).min() > 0)
     K = kernel_matrix(spec, pts, pts)
     assert np.array_equal(K, K.T)
+    # the diagonal is the 0-d profile at distance 0
+    assert _profile(spec, np.float64(0.0)) == 1.0
+    assert np.all(np.diag(K) == 1.0)
     assert K.tobytes() == kernel_matrix(spec, pts, pts.copy()).tobytes()
     expected = [[eval_kernel(spec, a, b) for b in pts] for a in pts]
     assert K.tobytes() == np.array(expected).tobytes()
+
+
+# The truncated Wendland polynomials evaluated on every entry, as a dense formula.
+_DENSE_WENDLAND = {
+    "wendland_c2": lambda d, t: t**4 * (4.0 * d + 1.0),
+    "wendland_c4": lambda d, t: t**6 * (35.0 * d * d + 18.0 * d + 3.0) / 3.0,
+    "wendland_c6": lambda d, t: t**8 * (32.0 * d**3 + 25.0 * d * d + 8.0 * d + 1.0),
+}
+# the support edge and its neighbours, in units of the support scale; NaN stays NaN
+_EDGES = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5, 40.0, np.nan])
+distances = arrays(
+    np.float64, st.tuples(st.integers(0, 6), st.integers(1, 6)), elements=st.floats(0.0, 4.0)
+)
+
+
+@FEW
+@given(st.sampled_from(sorted(_DENSE_WENDLAND)), st.floats(0.3, 2.0), distances)
+def test_masked_wendland_profile_equals_the_dense_polynomial(family, scale, r):
+    spec = KernelSpec(family, support_scale=scale)
+    for spec, dist in ((spec, r), (spec, scale * _EDGES), (KernelSpec(family), _EDGES)):
+        d = dist / spec.support_scale
+        dense = _DENSE_WENDLAND[family](d, np.maximum(1.0 - d, 0.0))
+        assert _profile(spec, dist).tobytes() == dense.tobytes()
+
+
+@FEW
+@given(st.floats(0.2, 5.0), st.sampled_from(list(DistanceConvention)), distances)
+def test_in_place_matern_profile_equals_the_closed_form(beta, convention, r):
+    spec = KernelSpec("matern_sobolev32", beta=beta, distance_convention=convention)
+    arg = r if convention is DistanceConvention.PLAIN else r * r
+    a = math.sqrt(3.0) / beta
+    assert _profile(spec, r).tobytes() == ((1.0 + a * arg) * np.exp(-a * arg)).tobytes()
 
 
 @st.composite
