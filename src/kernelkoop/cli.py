@@ -394,7 +394,7 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
     if not samples:
         raise DegenerateInputError("no usable frames in the marker file")
     g1, g2 = fit_kinematics(samples, eta, kernel)
-    angle_states = np.array([(s.theta1, s.theta2) for s in samples])
+    angle_states = np.column_stack((samples.theta1, samples.theta2))
     surface, diagnostics = _surface_and_diagnostics([g1, g2], angle_states, grid_n)
 
     params = {
@@ -406,7 +406,7 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
     artifacts = {
         "mocap_angles.csv": (
             ["t", "theta1", "theta2", "y1", "y2"],
-            [[s.t, s.theta1, s.theta2, s.y1, s.y2] for s in samples],
+            list(zip(samples.t, samples.theta1, samples.theta2, samples.y1, samples.y2)),
         ),
         "mocap_estimate_g1.csv": g1,
         "mocap_estimate_g2.csv": g2,

@@ -241,6 +241,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     exactly symmetric, and the points are required to be pairwise
     distinct (the matrix would be singular otherwise).  Any other pair is
     assembled as a cross matrix, even when the two hold equal points.
+    Every coordinate must be finite.
     """
     gram = B is A
     pa = as_points(A)
@@ -250,6 +251,8 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
             raise DegenerateInputError(
                 f"expected a nonempty set of points, got shape {np.shape(obj)}"
             )
+        if not np.isfinite(pts).all():
+            raise InvalidArgumentError("kernel points must be finite")
     if pa.shape[1] != pb.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}"

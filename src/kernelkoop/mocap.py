@@ -11,8 +11,8 @@ body axes respectively.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -32,10 +32,11 @@ MARKER_COLUMNS = ("t", *(f"{name}_{axis}" for name in _MARKERS for axis in "xyz"
 
 
 @dataclass(frozen=True)
-class MarkerFrame:
-    """3-D hip, knee and ankle markers (meters) of one frame or of len() frames.
+class _Markers:
+    """Finite hip, knee and ankle markers (meters) of one frame or of len() frames.
 
-    For n frames, ``t`` has shape (n,) and each marker (n, 3).
+    For n frames, ``t`` has shape (n,) and each marker (n, _width); a
+    single frame has a scalar ``t`` and (_width,) markers.
     """
 
     t: int | np.ndarray
@@ -44,11 +45,11 @@ class MarkerFrame:
     ankle: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.t) + (3,)
+        shape = np.shape(self.t) + (self._width,)
         for name in _MARKERS:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != shape:
-                raise InvalidArgumentError(f"{name} marker must be a 3-vector per frame")
+                raise InvalidArgumentError(f"{name} marker must be a {self._width}-vector per frame")
             if not np.all(np.isfinite(v)):
                 raise InvalidArgumentError(f"{name} marker must be finite")
             object.__setattr__(self, name, v)
@@ -57,25 +58,37 @@ class MarkerFrame:
         return int(np.size(self.t))
 
 
-@dataclass(frozen=True)
-class PlanarFrame:
+class MarkerFrame(_Markers):
+    """3-D hip, knee and ankle markers (meters) of one frame or of len() frames."""
+
+    _width = 3
+
+
+class PlanarFrame(_Markers):
     """Markers projected to the sagittal plane, coordinates (forward, up)."""
 
-    t: int | np.ndarray
-    hip: np.ndarray
-    knee: np.ndarray
-    ankle: np.ndarray
+    _width = 2
 
 
 @dataclass(frozen=True)
 class JointAngleSample:
-    """Joint angles (rad) and hip-relative ankle coordinates (m) for one frame."""
+    """Joint angles (rad) and hip-relative ankle coordinates (m) of one or len() frames.
 
-    t: int
-    theta1: float
-    theta2: float
-    y1: float
-    y2: float
+    For n frames every field is an (n,) array, and ``samples[i]`` is the
+    i-th sample, with scalar fields.
+    """
+
+    t: int | np.ndarray
+    theta1: float | np.ndarray
+    theta2: float | np.ndarray
+    y1: float | np.ndarray
+    y2: float | np.ndarray
+
+    def __len__(self) -> int:
+        return int(np.size(self.t))
+
+    def __getitem__(self, i: int) -> JointAngleSample:
+        return JointAngleSample(*(getattr(self, f.name)[i].item() for f in fields(self)))
 
 
 def _axis_index(axis: str) -> int:
@@ -99,8 +112,8 @@ def project_sagittal(frame: MarkerFrame, plane_axes=("x", "z")) -> PlanarFrame:
     return PlanarFrame(frame.t, *(getattr(frame, name)[..., sel] for name in _MARKERS))
 
 
-def _samples(frames: PlanarFrame) -> tuple[list[JointAngleSample], list[str]]:
-    """Samples of the frames along the leading axis, and one message per degenerate frame."""
+def _samples(frames: PlanarFrame) -> tuple[JointAngleSample, list[str]]:
+    """The samples of the frames along the leading axis, and one message per degenerate frame."""
     v1 = frames.knee - frames.hip
     v2 = frames.ankle - frames.knee
     rel = frames.ankle - frames.hip
@@ -115,8 +128,8 @@ def _samples(frames: PlanarFrame) -> tuple[list[JointAngleSample], list[str]]:
         f"frame {t}: zero-length limb segment (hip-knee {a:.3e}, knee-ankle {b:.3e})"
         for t, a, b in zip(frames.t[bad].tolist(), n1[bad].tolist(), n2[bad].tolist())
     ]
-    columns = (v[~bad].tolist() for v in (frames.t, theta1, theta2, rel[:, 1], rel[:, 0]))
-    return [JointAngleSample(*row) for row in zip(*columns)], skipped
+    columns = (frames.t, theta1, theta2, rel[:, 1], rel[:, 0])
+    return JointAngleSample(*(v[~bad] for v in columns)), skipped
 
 
 def joint_angles(frame: PlanarFrame) -> JointAngleSample:
@@ -133,11 +146,13 @@ def joint_angles(frame: PlanarFrame) -> JointAngleSample:
 
 def extract_angles(
     frames: MarkerFrame | Iterable[MarkerFrame], plane_axes=("x", "z")
-) -> list[JointAngleSample]:
+) -> JointAngleSample:
     """Project and convert every frame, skipping degenerate ones with a warning.
 
     ``frames`` is a MarkerFrame of n frames, as read_marker_csv returns, or
-    an iterable of single frames, which is stacked into one first.
+    an iterable of single frames, which is stacked into one first.  The
+    result is one record of the kept frames, each field an array with one
+    entry per sample.
     """
     if not isinstance(frames, MarkerFrame):
         frames = list(frames)
@@ -176,12 +191,12 @@ def read_marker_csv(path) -> MarkerFrame:
     return MarkerFrame(t.astype(np.int64), *np.split(table[:, 1:], 3, axis=1))
 
 
-def build_dataset(samples: Sequence[JointAngleSample]) -> TrajectoryDataset:
+def build_dataset(samples: JointAngleSample) -> TrajectoryDataset:
     """Consecutive-sample trajectory in (theta1, theta2) with (y1, y2) outputs."""
     if len(samples) < 2:
         raise DegenerateInputError("need at least 2 angle samples to form a trajectory")
-    states = np.array([(s.theta1, s.theta2) for s in samples])
-    outputs = np.array([(s.y1, s.y2) for s in samples])
+    states = np.column_stack((samples.theta1, samples.theta2))
+    outputs = np.column_stack((samples.y1, samples.y2))
     return TrajectoryDataset(
         k=np.arange(len(samples) - 1),
         x=states[:-1],
@@ -191,7 +206,7 @@ def build_dataset(samples: Sequence[JointAngleSample]) -> TrajectoryDataset:
 
 
 def fit_kinematics(
-    samples: Sequence[JointAngleSample],
+    samples: JointAngleSample,
     eta: float,
     kernel: KernelSpec,
 ) -> tuple[KoopmanEstimate, KoopmanEstimate]:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,6 +41,14 @@ def synthetic_gait_frames(n_frames=240, n_cycles=3, lateral=0.12):
     return [
         MarkerFrame(t=i, hip=lift(hip, i), knee=lift(knee, i), ankle=lift(ankle, i))
         for i in range(n_frames)
+    ]
+
+
+def column_bits(record):
+    """(dtype, shape, bytes) of every field of a columnar record, to compare records bit for bit."""
+    return [
+        (v.dtype.str, v.shape, v.tobytes())
+        for v in (np.asarray(getattr(record, f.name)) for f in fields(record))
     ]
 
 

@@ -388,6 +388,24 @@ def test_predict_batch_shape_and_dim_check():
         predict(est, [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("kernel", [MATERN1, KernelSpec("wendland_c4")], ids=["matern", "c4"])
+@pytest.mark.parametrize("query", [[math.nan, 0.0], [math.inf, 0.0]], ids=["nan", "inf"])
+def test_non_finite_queries_are_rejected(kernel, query):
+    rng = np.random.default_rng(9)
+    ds, centers = _random_dataset(rng, 5)
+    est = fit_pullback(ds, centers, kernel)
+    batch = np.array([[0.5, 0.5], query])
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        predict(est, batch)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        predict(est, query)
+    for a, b in ((batch, centers.points), (centers.points, batch)):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            kernel_matrix(kernel, a, b)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        kernel_matrix(kernel, batch, batch)
+
+
 def test_predict_permutation_invariance():
     rng = np.random.default_rng(77)
     ds, centers = _random_dataset(rng, 10, n_out=2)

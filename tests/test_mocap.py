@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gait_angles, synthetic_gait_frames, write_marker_csv
+from conftest import column_bits, gait_angles, synthetic_gait_frames, write_marker_csv
 from kernelkoop import (
     CsvFormatError,
     DegenerateInputError,
@@ -234,7 +234,11 @@ def test_read_marker_csv_finds_columns_by_name(tmp_path):
     a, b = read_marker_csv(plain), read_marker_csv(shuffled)
     for name in ("t", "hip", "knee", "ankle"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert extract_angles(a) == extract_angles(b) == extract_angles(frames)
+    assert (
+        column_bits(extract_angles(a))
+        == column_bits(extract_angles(b))
+        == column_bits(extract_angles(frames))
+    )
 
 
 def test_marker_frame_stacks_frames_along_a_leading_axis():
@@ -243,7 +247,35 @@ def test_marker_frame_stacks_frames_along_a_leading_axis():
         np.arange(6), *(np.array([getattr(f, m) for f in frames]) for m in ("hip", "knee", "ankle"))
     )
     assert len(batch) == 6
-    assert extract_angles(batch) == extract_angles(frames)
-    assert extract_angles([]) == []
+    assert column_bits(extract_angles(batch)) == column_bits(extract_angles(frames))
+    assert len(extract_angles([])) == 0
     with pytest.raises(InvalidArgumentError):
         MarkerFrame(np.arange(5), batch.hip, batch.knee, batch.ankle)
+
+
+@pytest.mark.parametrize(
+    "hip, message",
+    [([np.nan, 0.0], "finite"), ([0.0, np.inf], "finite"), ([0.0, 0.0, 0.0], "2-vector per frame")],
+    ids=["nan", "inf", "3-wide"],
+)
+def test_planar_frame_rejects_non_finite_and_wrong_width_markers(hip, message):
+    with pytest.raises(InvalidArgumentError, match=f"hip marker must be .*{message}"):
+        _planar(hip, [0.0, -0.4], [0.0, -0.8])
+
+
+def test_extracted_record_has_one_column_entry_per_kept_frame():
+    frames = synthetic_gait_frames(n_frames=30, n_cycles=1)
+    frames.insert(10, MarkerFrame(t=99, hip=[0.0, 0.1, 0.0], knee=[0.0, 0.1, 0.0], ankle=[0.1, 0.1, 0.1]))
+    samples = extract_angles(frames)
+    assert len(samples) == 30
+    for name in ("t", "theta1", "theta2", "y1", "y2"):
+        column = getattr(samples, name)
+        assert isinstance(column, np.ndarray) and column.shape == (30,), name
+    assert 99 not in samples.t
+    # samples[i] is the i-th sample with scalar fields, the type joint_angles returns
+    sample = samples[-1]
+    assert (sample.t, sample.theta1, sample.y2) == (29, samples.theta1[-1], samples.y2[-1])
+    assert type(sample.t) is int and type(sample.theta2) is float
+    assert [s.t for s in samples] == samples.t.tolist()
+    single = joint_angles(project_sagittal(frames[0]))
+    assert single == samples[0]

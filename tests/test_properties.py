@@ -10,9 +10,10 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist, pdist
 
-from conftest import reference_joint_angles, reference_subselect, reference_table
+from conftest import column_bits, reference_joint_angles, reference_subselect, reference_table
 from kernelkoop import (
     DegenerateInputError,
     DistanceConvention,
@@ -169,6 +170,47 @@ def test_projected_estimator_equals_the_least_squares_operator(spec, points, dat
     cond = estimate.diagnostics.condition_number
     bound = _solve_bound(len(points), cond, np.abs(estimate.alpha).sum())
     assert np.max(np.abs(umf - edmd)) <= bound
+
+
+@FEW
+@given(kernels, separated_points(), st.integers(0, 2**32 - 1))
+def test_interpolation_error_is_bounded_by_the_power_function(spec, X, seed):
+    """|g - s_X g|(x) <= P_X(x) ||g||_H for g in the native space (Wendland 2005, Thm 11.4),
+    with g = sum_j c_j K(., z_j), ||g||_H^2 = c^T K_Z c and
+    P_X(x)^2 = K(x, x) - k_X(x)^T K_X^-1 k_X(x), where K(x, x) = 1 for every family."""
+    rng = np.random.default_rng(seed)
+    n, dim = X.shape
+    Z = rng.uniform(0.0, 2.0, size=(rng.integers(1, 5), dim))
+    c = rng.uniform(-1.0, 1.0, size=len(Z))
+    Q = rng.uniform(-0.5, 2.5, size=(50, dim))
+    L = np.linalg.cholesky(kernel_matrix(spec, X, X))
+    W = solve_triangular(L, kernel_matrix(spec, X, Q), lower=True)  # L^-1 k_X(x), per column
+    b = solve_triangular(L, kernel_matrix(spec, X, Z) @ c, lower=True)
+    p2 = 1.0 - np.einsum("iq,iq->q", W, W)
+    err = np.abs(kernel_matrix(spec, Q, Z) @ c - W.T @ b)
+    norm2 = c @ kernel_matrix(spec, Z, Z) @ c
+    # Rounding slack, to first order (Higham, Accuracy and Stability, 2002, ch. 8 and 10).
+    # Every kernel value is off by at most 16 eps (|K| <= 1).  Cholesky and the two
+    # triangular solves return the exact result for K_X + E with |E| <= 3 n eps |L||L^T|
+    # entrywise; a unit diagonal bounds the entries of |L||L^T| by 1, so, with the
+    # kernel errors, ||E||_2 <= e_K = (3 n^2 + 16 n) eps.  With u = K_X^-1 k_X(x) and
+    # a = K_X^-1 g(X):
+    # - p2 moves by -u^T E u, plus 2 u^T f for the error f of k_X(x) (||f|| <= 16 sqrt(n)
+    #   eps) and n eps for the sum of squares: at most e_K (1 + |u|)^2;
+    # - g(x) and each entry of g(X) carry e_g = (16 + m) eps sum|c| for m = len(Z), and
+    #   s_X g(x) = k_X(x)^T a moves by f^T a - u^T E a + u^T dg(X): the error moves by at
+    #   most e_K (1 + |u|) |a| + (1 + sqrt(n) |u|) e_g;
+    # - norm2 moves by at most e_g sum|c|.
+    # Each term is doubled to cover the second-order ones.
+    eps = np.finfo(float).eps
+    e_K = (3 * n * n + 16 * n) * eps
+    e_g = (16 + len(Z)) * eps * np.abs(c).sum()
+    u = np.linalg.norm(solve_triangular(L.T, W, lower=False), axis=0)
+    a = np.linalg.norm(solve_triangular(L.T, b, lower=False))
+    p2_slack = 2 * e_K * (1 + u) ** 2
+    err_slack = 2 * (e_K * (1 + u) * a + (1 + math.sqrt(n) * u) * e_g)
+    bound = np.sqrt(np.maximum(p2 + p2_slack, 0.0) * (norm2 + 2 * e_g * np.abs(c).sum()))
+    assert np.all(err <= bound + err_slack)
 
 
 _DATA = simulate(PendulumConfig(steps=60))
@@ -402,7 +444,7 @@ def test_batched_angles_equal_one_row_calls_and_the_per_frame_oracle(pts):
     batch = MarkerFrame(np.arange(n), pts[:, 0], pts[:, 1], pts[:, 2])
     singles = [MarkerFrame(i, *pts[i]) for i in range(n)]
     got = extract_angles(batch)
-    assert got == extract_angles(singles)
+    assert column_bits(got) == column_bits(extract_angles(singles))
     one_row = []
     for frame in singles:
         try:
