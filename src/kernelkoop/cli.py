@@ -153,13 +153,7 @@ def _float_list(cfg, section: str, key: str) -> list[float]:
 def parse_kernel_token(token: str) -> KernelSpec:
     """Compact kernel notation for sweep lists: 'wendland_c4' or 'matern:0.5'."""
     name, _, param = token.partition(":")
-    if param:
-        try:
-            beta = float(param)
-        except ValueError:
-            raise ConfigError(f"bad kernel token {token!r}") from None
-        return KernelSpec(family=name, beta=beta)
-    return KernelSpec(family=name)
+    return KernelSpec(family=name, beta=param) if param else KernelSpec(family=name)
 
 
 def _pendulum_config(cfg) -> PendulumConfig:
@@ -448,26 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("simulate", help="generate the pendulum trajectory CSV")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="subselect centers, fit the interpolant, emit surface grid")
-    p.add_argument("--trajectory", default=None, help="trajectory CSV (default <out>/trajectory.csv)")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("convergence", help="error vs fill distance over nested center sets")
-    p.add_argument("--trajectory", default=None, help="trajectory CSV (default <out>/trajectory.csv)")
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("conditioning", help="condition number vs center spacing per kernel")
-    p.set_defaults(func=cmd_conditioning)
-
-    p = sub.add_parser("mineig", help="minimum eigenvalue vs injected pair distance")
-    p.set_defaults(func=cmd_mineig)
-
-    p = sub.add_parser("mocap", help="joint angles and kinematics fits from marker CSV")
-    p.add_argument("--markers", required=True, help="marker CSV file")
-    p.set_defaults(func=cmd_mocap)
+    trajectory = ("--trajectory", {"help": "trajectory CSV (default <out>/trajectory.csv)"})
+    markers = ("--markers", {"required": True, "help": "marker CSV file"})
+    # built per call, not at module level, so it holds the cmd_* bound at that time
+    for name, func, text, *options in (
+        ("simulate", cmd_simulate, "generate the pendulum trajectory CSV"),
+        ("fit", cmd_fit, "subselect centers, fit the interpolant, emit surface grid", trajectory),
+        ("convergence", cmd_convergence, "error vs fill distance over nested center sets", trajectory),
+        ("conditioning", cmd_conditioning, "condition number vs center spacing per kernel"),
+        ("mineig", cmd_mineig, "minimum eigenvalue vs injected pair distance"),
+        ("mocap", cmd_mocap, "joint angles and kinematics fits from marker CSV", markers),
+    ):
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
     parser.epilog = "config defaults:\n" + defaults_help
     return parser

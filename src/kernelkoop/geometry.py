@@ -21,11 +21,12 @@ def _states_and_indices(data) -> tuple[np.ndarray, np.ndarray]:
     array of points; indices default to 0..m-1 where the points carry none.
     """
     if hasattr(data, "x") and hasattr(data, "k"):
-        return np.asarray(data.x, dtype=float), np.asarray(data.k, dtype=int)
-    pts = as_points(data)
+        pts, idx = np.asarray(data.x, dtype=float), np.asarray(data.k, dtype=int)
+    else:
+        pts = as_points(data)
+        idx = data.indices if isinstance(data, PointSet) else None
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise DegenerateInputError("trajectory is empty")
-    idx = data.indices if isinstance(data, PointSet) else None
     return pts, (np.arange(pts.shape[0]) if idx is None else idx)
 
 
@@ -51,8 +52,6 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
     if not eta > 0:
         raise InvalidArgumentError(f"eta must be > 0, got {eta}")
     states, indices = _states_and_indices(trajectory)
-    if states.shape[0] == 0:
-        raise DegenerateInputError("trajectory is empty")
 
     if seed_centers is not None:
         if seed_centers.dim != states.shape[1]:

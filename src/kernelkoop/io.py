@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -54,7 +55,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 _KERNEL = "kernel."
-_KERNEL_KEYS = ("family", "beta", "support_scale", "distance_convention")
+_KERNEL_KEYS = tuple(f.name for f in fields(KernelSpec))
 # the comment block of an estimate file, in written order; the reader requires every key
 _ESTIMATE_KEYS = (
     "mode", *(_KERNEL + key for key in _KERNEL_KEYS),

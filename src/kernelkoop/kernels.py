@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -106,12 +106,15 @@ class KernelSpec:
         object.__setattr__(self, "family", _coerce(KernelFamily, self.family, "kernel family"))
         convention = _coerce(DistanceConvention, self.distance_convention, "distance convention")
         object.__setattr__(self, "distance_convention", convention)
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "support_scale", float(self.support_scale))
         for key in ("beta", "support_scale"):
-            value = getattr(self, key)
+            raw = getattr(self, key)
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(f"{key} must be a number, got {raw!r}") from None
             if not 0 < value < math.inf:
                 raise InvalidArgumentError(f"{key} must be finite and > 0, got {value}")
+            object.__setattr__(self, key, value)
 
     @property
     def label(self) -> str:
@@ -123,28 +126,16 @@ class KernelSpec:
     def to_config(self) -> dict[str, str]:
         """Flat key-value form, the inverse of :meth:`from_config`."""
         return {
-            "family": self.family.value,
-            "beta": repr(self.beta),
-            "support_scale": repr(self.support_scale),
-            "distance_convention": self.distance_convention.value,
+            key: value.value if isinstance(value, enum.Enum) else repr(value)
+            for key, value in asdict(self).items()
         }
 
     @classmethod
     def from_config(cls, mapping: Mapping[str, str]) -> "KernelSpec":
-        """Build a spec from a flat key-value block (all values strings)."""
+        """Build a spec from a flat key-value block (all values strings); other keys are ignored."""
         if "family" not in mapping:
             raise ConfigError("kernel config is missing the 'family' key")
-        try:
-            beta = float(mapping.get("beta", 1.0))
-            scale = float(mapping.get("support_scale", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad kernel config: {exc}") from exc
-        return cls(
-            family=mapping["family"],
-            beta=beta,
-            support_scale=scale,
-            distance_convention=mapping.get("distance_convention", "plain"),
-        )
+        return cls(**{f.name: mapping[f.name] for f in fields(cls) if f.name in mapping})
 
 
 @dataclass
@@ -174,8 +165,6 @@ class PointSet:
                 raise InvalidArgumentError(
                     f"indices must have shape ({pts.shape[0]},), got {idx.shape}"
                 )
-            if np.any(idx < 0):
-                raise InvalidArgumentError("indices must be nonnegative")
             self.indices = idx
 
     def __len__(self) -> int:
@@ -207,8 +196,12 @@ def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """
     if spec.family is KernelFamily.MATERN_SOBOLEV_32:
         arg = r if spec.distance_convention is DistanceConvention.PLAIN else r * r
-        s = (_SQRT3 / spec.beta) * arg
-        e = np.exp(-s)
+        # an array also for the diagonal's 0-d distance, so the steps below work in place;
+        # exp(-s) is 0.0 from s = 745.14 on, so clamping s at 746 keeps the bits of every
+        # finite s and gives 0.0, not inf * 0, for an overflowed distance
+        s = np.multiply(_SQRT3 / spec.beta, arg, out=np.empty(np.shape(arg)))
+        e = np.negative(np.minimum(s, 746.0, out=s), out=np.empty_like(s))
+        np.exp(e, out=e)
         s += 1.0
         s *= e
         return s

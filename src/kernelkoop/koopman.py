@@ -139,12 +139,6 @@ def _advance(dataset: TrajectoryDataset, centers: PointSet) -> tuple[PointSet, n
     return PointSet(dataset.x_next[rows].copy(), indices=dataset.k[rows]), dataset.y_next[rows]
 
 
-def _estimate(
-    mode: EstimateMode, centers: PointSet, advanced: PointSet, kernel: KernelSpec, report: SolveReport
-) -> KoopmanEstimate:
-    return KoopmanEstimate(mode, centers, advanced, report.coefficients, kernel, report)
-
-
 def fit_pullback(
     dataset: TrajectoryDataset,
     centers: PointSet,
@@ -159,7 +153,9 @@ def fit_pullback(
     """
     advanced, targets = _advance(dataset, centers)
     report = solve_spd(kernel_matrix(kernel, advanced, advanced), targets, jitter_policy)
-    return _estimate(EstimateMode.PULLBACK, centers, advanced, kernel, report)
+    return KoopmanEstimate(
+        EstimateMode.PULLBACK, centers, advanced, report.coefficients, kernel, report
+    )
 
 
 def fit_umf(
@@ -188,7 +184,9 @@ def fit_umf(
     first = solve_spd(K, g, jitter_policy)
     C = kernel_matrix(kernel, centers, advanced)
     report = solve_spd(K, C.T @ first.coefficients, jitter_policy)
-    return _estimate(EstimateMode.PROJECTED, centers, advanced, kernel, report)
+    return KoopmanEstimate(
+        EstimateMode.PROJECTED, centers, advanced, report.coefficients, kernel, report
+    )
 
 
 def predict(estimate: KoopmanEstimate, x) -> np.ndarray:

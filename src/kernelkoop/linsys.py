@@ -93,11 +93,8 @@ def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
     ladder = [_parse_jitter(jitter_policy)]
     K = np.asarray(K, dtype=float)
     b = np.asarray(rhs, dtype=float)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
     # a K that is not 2-D is rejected by spectral_diagnostics, still before eigvalsh
-    if K.ndim == 2 and (b.ndim != 2 or b.shape[0] != K.shape[0]):
+    if K.ndim == 2 and (b.ndim not in (1, 2) or b.shape[0] != K.shape[0]):
         raise InvalidArgumentError(
             f"rhs must have {K.shape[0]} rows, got shape {np.shape(rhs)}"
         )
@@ -112,11 +109,8 @@ def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
             factor = cho_factor(Kreg, lower=True, check_finite=False)
         except LinAlgError:
             continue
-        alpha = cho_solve(factor, b, check_finite=False)
-        if squeeze:
-            alpha = alpha[:, 0]
         return SolveReport(
-            coefficients=alpha,
+            coefficients=cho_solve(factor, b, check_finite=False),
             condition_number=diag.cond,
             min_eigenvalue=diag.lambda_min,
             jitter_used=lam,

@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from conftest import synthetic_gait_frames, write_marker_csv
-from kernelkoop import cli, subselect_centers
+from kernelkoop import TrajectoryDataset, cli, subselect_centers
 from kernelkoop import io as kio
 from kernelkoop.cli import ETA_37_CENTERS, main
 from kernelkoop.io import read_estimate_csv, read_trajectory_csv
@@ -322,8 +322,17 @@ def test_bad_mocap_axis_fails_before_the_markers_are_read(
         ("conditioning", "[conditioning]\nkernels = matern:inf\n",
          "beta must be finite and > 0, got inf"),
         ("mineig", "[mineig]\nkernel = matern:inf\n", "beta must be finite and > 0, got inf"),
+        ("fit", "[kernel]\nbeta = abc\n", "error: beta must be a number, got 'abc'\n"),
+        ("fit", "[kernel]\nfamily = wendland_c4\nsupport_scale = abc\n",
+         "error: support_scale must be a number, got 'abc'\n"),
+        ("mocap", "[mocap]\nbeta = abc\n", "error: beta must be a number, got 'abc'\n"),
+        ("conditioning", "[conditioning]\nkernels = wendland_c2 matern:abc\n",
+         "error: beta must be a number, got 'abc'\n"),
+        ("mineig", "[mineig]\nkernel = matern:abc\n", "error: beta must be a number, got 'abc'\n"),
     ],
-    ids=["kernel-beta", "kernel-support", "mocap-beta", "mocap-support", "token", "mineig-token"],
+    ids=["kernel-beta", "kernel-support", "mocap-beta", "mocap-support", "token", "mineig-token",
+         "kernel-beta-text", "kernel-support-text", "mocap-beta-text", "token-text",
+         "mineig-token-text"],
 )
 def test_non_finite_kernel_parameter_is_a_config_error(tmp_path, capsys, command, text, message):
     commands = _fit_and_mocap_inputs(tmp_path)
@@ -590,3 +599,23 @@ def test_fit_trajectory_with_swapped_columns_is_an_io_error(tmp_path, capsys):
     assert main(["--out", str(out), "fit", "--trajectory", str(path)]) == 4
     assert "unrecognized trajectory header" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_and_convergence_accept_negative_time_indices(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    ds = read_trajectory_csv(tmp_path / "trajectory.csv")
+    shifted = tmp_path / "shifted.csv"
+    kio.write_trajectory_csv(shifted, TrajectoryDataset(ds.k - 100, ds.x, ds.x_next, ds.y_next))
+    out = tmp_path / "shifted"
+    capsys.readouterr()
+    for command in ("fit", "convergence"):
+        assert main(["--out", str(tmp_path), command]) == 0
+        expected = capsys.readouterr().out
+        assert main(["--out", str(out), command, "--trajectory", str(shifted)]) == 0
+        assert capsys.readouterr().out == expected
+    for name in ("fit_surface.csv", "fit_diagnostics.csv", "convergence.csv"):
+        assert _read_table(out / name)[1:] == _read_table(tmp_path / name)[1:], name
+    est = read_estimate_csv(out / "estimate.csv")
+    assert len(est.centers) == 37
+    unshifted = read_estimate_csv(tmp_path / "estimate.csv").centers.indices
+    assert np.array_equal(est.centers.indices, unshifted - 100)

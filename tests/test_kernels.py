@@ -9,13 +9,18 @@ from kernelkoop import (
     ConfigError,
     DegenerateInputError,
     DistanceConvention,
+    EstimateMode,
     InvalidArgumentError,
     KernelFamily,
     KernelSpec,
+    KoopmanEstimate,
     PointSet,
+    SolveReport,
     eval_kernel,
     kernel_matrix,
+    predict,
 )
+from kernelkoop.kernels import _profile
 
 ALL_FAMILIES = [
     KernelSpec("matern_sobolev32", beta=1.0),
@@ -189,6 +194,17 @@ def test_spec_rejects_non_finite_parameters(key, value):
     assert getattr(KernelSpec("wendland_c4", **{key: 5e-324}), key) == 5e-324
 
 
+@pytest.mark.parametrize("value", ["abc", "", None, [1.0]])
+@pytest.mark.parametrize("key", ["beta", "support_scale"])
+def test_spec_rejects_a_parameter_that_is_not_a_number(key, value):
+    message = re.escape(f"{key} must be a number, got {value!r}")
+    with pytest.raises(InvalidArgumentError, match=message):
+        KernelSpec("matern_sobolev32", **{key: value})
+    if isinstance(value, str):
+        with pytest.raises(InvalidArgumentError, match=message):
+            KernelSpec.from_config({"family": "wendland_c4", key: value})
+
+
 def test_spec_config_round_trip():
     spec = KernelSpec("wendland_c6", beta=2.5, support_scale=0.75, distance_convention="squared")
     again = KernelSpec.from_config(spec.to_config())
@@ -243,3 +259,20 @@ def test_pointset_validation():
         PointSet(np.array([[1.0, np.nan]]))
     with pytest.raises(InvalidArgumentError):
         PointSet(np.array([[1.0]]), indices=np.array([0, 1]))
+    # any integer time index, as in a trajectory file
+    assert PointSet(np.array([[1.0], [2.0]]), indices=[-100, -99]).indices.tolist() == [-100, -99]
+
+
+@pytest.mark.parametrize("convention", ["plain", "squared"])
+def test_matern_overflowed_distance_gives_zero(convention):
+    # the distances overflow to inf (and their squares for the squared convention)
+    spec = KernelSpec("matern", distance_convention=convention)
+    far = np.array([[1e155, 0.0]])
+    K = kernel_matrix(spec, far, np.array([[-1e155, 0.0], [0.0, 0.0]]))
+    assert K.tolist() == [[0.0, 0.0]]
+    centers = PointSet(np.array([[0.0, 0.0], [0.5, 0.0]]), indices=[0, 1])
+    report = SolveReport(np.ones((2, 1)), 1.0, 1.0)
+    estimate = KoopmanEstimate(EstimateMode.PULLBACK, centers, centers, report.coefficients, spec, report)
+    assert predict(estimate, np.vstack([far, [[1e160, 0.0]]])).tolist() == [[0.0], [0.0]]
+    # an infinite distance gives 0.0, a NaN one still gives NaN
+    assert np.isnan(_profile(spec, np.array([np.inf, np.nan]))).tolist() == [False, True]

@@ -20,10 +20,12 @@ from kernelkoop import (
     edmd_fit,
     empirical_risk,
     eval_kernel,
+    fill_distance,
     fit_pullback,
     fit_umf,
     kernel_matrix,
     kernel_sections,
+    nested_center_sets,
     observable_G,
     predict,
     simulate,
@@ -468,3 +470,49 @@ def test_predict_memory_does_not_grow_with_the_queries(kern):
         tracemalloc.stop()
     # the one-shot 2e4 x 400 kernel matrix alone is 61 MiB
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# convergence rate per kernel family
+
+# Nested gates on a 2048-step pendulum: M = 24 ... 225 centers.
+RATE_ETAS = (0.4, 0.28, 0.2, 0.14, 0.1, 0.07, 0.05, 0.035)
+
+
+@pytest.fixture(scope="module")
+def rate_levels():
+    """The pendulum, all its states and the four finest nested center sets."""
+    ds = simulate(PendulumConfig(steps=2048))
+    states = np.vstack([ds.x, ds.x_next[-1:]])
+    return ds, states, nested_center_sets(ds, RATE_ETAS)[-4:]
+
+
+@pytest.mark.parametrize(
+    "kern, floor",
+    [
+        (MATERN1, 3.0),
+        (KernelSpec("wendland_c2", support_scale=2.0), 3.0),
+        (KernelSpec("wendland_c4", support_scale=2.0), 4.5),
+        (KernelSpec("wendland_c6", support_scale=2.0), 6.0),
+    ],
+    ids=lambda v: v.label if isinstance(v, KernelSpec) else None,
+)
+def test_sup_error_falls_at_the_rate_of_the_kernel_smoothness(rate_levels, kern, floor):
+    """Log-log slope of sup error against fill distance over the four finest levels.
+
+    The native spaces are H^tau(R^2) with tau = 2.5, 2.5, 3.5, 4.5 (Wendland,
+    Scattered Data Approximation, 2005, ch. 10); on the 1-D orbit the smooth
+    target gives slopes near 2 tau - 1.5.  Measured at 2048 / 4096 / 8192
+    steps: Matern 3.63 / 3.80 / 4.61, C2 3.75 / 3.79 / 4.34, C4 5.55 / 5.54 /
+    6.80, C6 7.23 / 7.21 / 9.14.  A profile coefficient that breaks the
+    kernel's smoothness at 0 (C2 4 -> 3, C4 18 -> 17, C6 8 -> 7, or the Matern
+    linear term alone scaled by 1.7/sqrt(3)) gives 1.8 to 2.4 at those lengths.
+    """
+    ds, states, levels = rate_levels
+    fills, errors = [], []
+    for centers in levels:
+        residual = predict(fit_pullback(ds, centers, kern), ds.x_next) - ds.y_next
+        fills.append(fill_distance(centers, states))
+        errors.append(np.max(np.linalg.norm(residual, axis=1)))
+    slope = np.polyfit(np.log(fills), np.log(errors), 1)[0]
+    assert slope > floor, slope
