@@ -30,7 +30,7 @@ from .errors import (
 )
 from .geometry import fill_distance, nested_center_sets, separation, subselect_centers
 from .kernels import KernelSpec, kernel_matrix
-from .koopman import KoopmanEstimate, TrajectoryDataset, fit_pullback, predict
+from .koopman import TrajectoryDataset, fit_pullback, predict
 from .linsys import _parse_jitter, spectral_diagnostics
 from .mocap import _plane_indices, extract_angles, fit_kinematics, read_marker_csv
 
@@ -219,30 +219,17 @@ def _surface_and_diagnostics(estimates, states: np.ndarray, grid_n: int):
     return surface, row
 
 
-def _write_artifacts(out_dir: Path, artifacts: dict, params: dict) -> None:
-    """Write each artifact under its file name in ``out_dir``, with ``params`` as comments."""
-    for name, artifact in artifacts.items():
-        path = out_dir / name
-        if isinstance(artifact, TrajectoryDataset):
-            kio.write_trajectory_csv(path, artifact, params)
-        elif isinstance(artifact, KoopmanEstimate):
-            kio.write_estimate_csv(path, artifact, params)
-        else:
-            header, rows = artifact
-            kio.write_rows_csv(path, header, rows, params)
-
-
 # ---------------------------------------------------------------------------
-# subcommands: each writes nothing and returns (artifacts, params, summary),
-# the artifacts by file name, each a TrajectoryDataset, a KoopmanEstimate
-# or a (header, rows) table; `main` puts the command name first in params
+# subcommands: each writes nothing and returns (artifacts, params, summary), the
+# artifacts as {file name: (writer, *payload)}, the writer looked up in `io` per call
+# (a rebound one is used); `main` calls writer(path, *payload, {"command": ..., **params})
 
 
 def cmd_simulate(args, cfg) -> tuple[dict, dict, str]:
     dataset = simulate(_pendulum_config(cfg))
     out = Path(args.out) / "trajectory.csv"
     summary = f"wrote {out} ({len(dataset)} records)"
-    return {"trajectory.csv": dataset}, _dynamics_params(cfg), summary
+    return {"trajectory.csv": (kio.write_trajectory_csv, dataset)}, _dynamics_params(cfg), summary
 
 
 def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
@@ -265,9 +252,9 @@ def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
         **dynamics,
     }
     artifacts = {
-        "estimate.csv": estimate,
-        "fit_surface.csv": (["z1", "z2", *outputs], surface),
-        "fit_diagnostics.csv": (_DIAGNOSTICS_HEADER, [diagnostics]),
+        "estimate.csv": (kio.write_estimate_csv, estimate),
+        "fit_surface.csv": (kio.write_rows_csv, ["z1", "z2", *outputs], surface),
+        "fit_diagnostics.csv": (kio.write_rows_csv, _DIAGNOSTICS_HEADER, [diagnostics]),
     }
     m, fill, _, cond = diagnostics[:4]
     return artifacts, params, f"fit: M={m} fill={fill:.4f} cond={cond:.4e}"
@@ -305,7 +292,7 @@ def cmd_convergence(args, cfg) -> tuple[dict, dict, str]:
         "loglog_slope": kio.fmt(slope),
         "loglog_intercept": kio.fmt(intercept),
     }
-    table = (["eta", "fill_distance", "M", "sup_error"], rows)
+    table = (kio.write_rows_csv, ["eta", "fill_distance", "M", "sup_error"], rows)
     summary = f"convergence: {len(rows)} rows, log-log slope {slope:.3f}"
     return {"convergence.csv": table}, params, summary
 
@@ -334,8 +321,8 @@ def cmd_conditioning(args, cfg) -> tuple[dict, dict, str]:
         "conditioning.spacings": cfg["conditioning"]["spacings"],
     }
     header = ["kernel", "beta", "spacing", "M", "separation", "cond", "lambda_min"]
-    out = Path(args.out) / "conditioning.csv"
-    return {"conditioning.csv": (header, rows)}, params, f"conditioning: {len(rows)} rows -> {out}"
+    summary = f"conditioning: {len(rows)} rows -> {Path(args.out) / 'conditioning.csv'}"
+    return {"conditioning.csv": (kio.write_rows_csv, header, rows)}, params, summary
 
 
 def cmd_mineig(args, cfg) -> tuple[dict, dict, str]:
@@ -372,8 +359,8 @@ def cmd_mineig(args, cfg) -> tuple[dict, dict, str]:
         "mineig.deltas": cfg["mineig"]["deltas"],
     }
     header = ["base_eta", "fill_distance", "M", "pair_distance", "lambda_min"]
-    out = Path(args.out) / "mineig.csv"
-    return {"mineig.csv": (header, rows)}, params, f"mineig: {len(rows)} rows -> {out}"
+    summary = f"mineig: {len(rows)} rows -> {Path(args.out) / 'mineig.csv'}"
+    return {"mineig.csv": (kio.write_rows_csv, header, rows)}, params, summary
 
 
 def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
@@ -399,13 +386,15 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
     }
     artifacts = {
         "mocap_angles.csv": (
+            kio.write_rows_csv,
             ["t", "theta1", "theta2", "y1", "y2"],
             list(zip(samples.t, samples.theta1, samples.theta2, samples.y1, samples.y2)),
         ),
-        "mocap_estimate_g1.csv": g1,
-        "mocap_estimate_g2.csv": g2,
-        "mocap_surface.csv": (["theta1", "theta2", "G1_hat", "G2_hat"], surface),
+        "mocap_estimate_g1.csv": (kio.write_estimate_csv, g1),
+        "mocap_estimate_g2.csv": (kio.write_estimate_csv, g2),
+        "mocap_surface.csv": (kio.write_rows_csv, ["theta1", "theta2", "G1_hat", "G2_hat"], surface),
         "mocap_diagnostics.csv": (
+            kio.write_rows_csv,
             ["frames", "samples", *_DIAGNOSTICS_HEADER],
             [[len(frames), len(samples), *diagnostics]],
         ),
@@ -470,7 +459,8 @@ def main(argv=None) -> int:
         artifacts, params, summary = args.func(args, cfg)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_artifacts(out_dir, artifacts, {"command": args.command, **params})
+        for name, (write, *payload) in artifacts.items():
+            write(out_dir / name, *payload, {"command": args.command, **params})
         print(summary)
         return 0
     except (ConfigError, InvalidArgumentError) as exc:

@@ -9,25 +9,22 @@ from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .kernels import _MAX_ENTRIES, PointSet, as_points
+from .koopman import TrajectoryDataset
 
 # States gated per block by `subselect_centers`.
 _BLOCK = 256
+# Halvings of the eta bracket in `eta_for_center_count` before it gives up.
+_BISECTIONS = 200
 
 
-def _states_and_indices(data) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (states, time indices) from a trajectory-like object.
-
-    Accepts a TrajectoryDataset (uses .x and .k), a PointSet, or a plain
-    array of points; indices default to 0..m-1 where the points carry none.
-    """
-    if hasattr(data, "x") and hasattr(data, "k"):
-        pts, idx = np.asarray(data.x, dtype=float), np.asarray(data.k, dtype=int)
-    else:
-        pts = as_points(data)
-        idx = data.indices if isinstance(data, PointSet) else None
+def _points(data, what: str) -> np.ndarray:
+    """The states of a TrajectoryDataset (its ``x``), a PointSet, or an (m, d) or 1-D array."""
+    pts = data.x if isinstance(data, TrajectoryDataset) else as_points(data)
     if pts.ndim != 2 or pts.shape[0] == 0:
-        raise DegenerateInputError("trajectory is empty")
-    return pts, (np.arange(pts.shape[0]) if idx is None else idx)
+        raise DegenerateInputError(
+            f"{what} must be a nonempty (m, d) set of points, got shape {np.shape(data)}"
+        )
+    return pts
 
 
 def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = None) -> PointSet:
@@ -51,7 +48,11 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
     """
     if not eta > 0:
         raise InvalidArgumentError(f"eta must be > 0, got {eta}")
-    states, indices = _states_and_indices(trajectory)
+    states = _points(trajectory, "trajectory")
+    if isinstance(trajectory, TrajectoryDataset):
+        indices = trajectory.k
+    else:  # None: the positions 0..m-1
+        indices = trajectory.indices if isinstance(trajectory, PointSet) else None
 
     if seed_centers is not None:
         if seed_centers.dim != states.shape[1]:
@@ -82,7 +83,7 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
                 alive[i + 1:] &= far[i, i + 1:]
         rows = rows[alive]
         points[n:n + rows.size] = states[rows]
-        kept[n:n + rows.size] = indices[rows]
+        kept[n:n + rows.size] = rows if indices is None else indices[rows]
         n += rows.size
     # copies, so the result does not hold on to the (seeds + m)-row buffers
     return PointSet(points[:n].copy(), indices=kept[:n].copy())
@@ -111,8 +112,8 @@ def fill_distance(centers, reference) -> float:
     The underlying manifold is unknown, so it is represented by a dense
     reference sample (the full trajectory in the pipelines here).
     """
-    c, _ = _states_and_indices(centers)
-    r, _ = _states_and_indices(reference)
+    c = _points(centers, "centers")
+    r = _points(reference, "reference")
     if c.shape[1] != r.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: centers {c.shape[1]}, reference {r.shape[1]}"
@@ -125,7 +126,7 @@ def fill_distance(centers, reference) -> float:
 
 def separation(centers) -> float:
     """Half the minimum pairwise distance among centers."""
-    c, _ = _states_and_indices(centers)
+    c = _points(centers, "centers")
     if c.shape[0] < 2:
         raise DegenerateInputError("separation needs at least 2 centers")
     dmin = float(pdist(c).min())
@@ -134,14 +135,14 @@ def separation(centers) -> float:
     return 0.5 * dmin
 
 
-def eta_for_center_count(trajectory, count: int, max_iter: int = 200) -> float:
+def eta_for_center_count(trajectory, count: int) -> float:
     """Bisect for a gate value whose greedy subselection keeps exactly ``count`` centers.
 
     The kept-count is a non-increasing step function of eta, so plateaus
     have positive width and bisection lands inside one when it exists.
     Raises if no eta produces the requested count.
     """
-    states, _ = _states_and_indices(trajectory)
+    states = _points(trajectory, "trajectory")
     m = states.shape[0]
     if not 1 <= count <= m:
         raise InvalidArgumentError(f"count must be in [1, {m}], got {count}")
@@ -156,7 +157,7 @@ def eta_for_center_count(trajectory, count: int, max_iter: int = 200) -> float:
         raise DegenerateInputError(
             f"trajectory has repeated states; cannot reach {count} centers"
         )
-    for _ in range(max_iter):
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         n = kept(mid)
         if n == count:

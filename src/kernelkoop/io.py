@@ -218,10 +218,9 @@ def _estimate_header(d: int, n: int) -> list[str]:
 
 def write_estimate_csv(path, estimate: KoopmanEstimate, params=None) -> None:
     report = estimate.diagnostics
-    kernel = estimate.kernel.to_config()
     values = [
         estimate.mode.value,
-        *(kernel[key] for key in _KERNEL_KEYS),
+        *_kernel_params(estimate.kernel).values(),
         *map(fmt, (report.condition_number, report.min_eigenvalue, report.jitter_used)),
     ]
     meta = {**(params or {}), **dict(zip(_ESTIMATE_KEYS, values))}

@@ -198,8 +198,10 @@ def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         arg = r if spec.distance_convention is DistanceConvention.PLAIN else r * r
         # an array also for the diagonal's 0-d distance, so the steps below work in place;
         # exp(-s) is 0.0 from s = 745.14 on, so clamping s at 746 keeps the bits of every
-        # finite s and gives 0.0, not inf * 0, for an overflowed distance
-        s = np.multiply(_SQRT3 / spec.beta, arg, out=np.empty(np.shape(arg)))
+        # finite s and gives 0.0 where the distance or the product overflowed to inf
+        scale = min(_SQRT3 / spec.beta, np.finfo(float).max)  # finite: s = 0, not NaN, at r = 0
+        with np.errstate(over="ignore"):
+            s = np.multiply(scale, arg, out=np.empty(np.shape(arg)))
         e = np.negative(np.minimum(s, 746.0, out=s), out=np.empty_like(s))
         np.exp(e, out=e)
         s += 1.0

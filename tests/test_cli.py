@@ -619,3 +619,57 @@ def test_fit_and_convergence_accept_negative_time_indices(tmp_path, capsys):
     assert len(est.centers) == 37
     unshifted = read_estimate_csv(tmp_path / "estimate.csv").centers.indices
     assert np.array_equal(est.centers.indices, unshifted - 100)
+
+
+def _line_trajectory(path):
+    """A trajectory of 1-D states: 40 steps of 0.025 along the real line."""
+    x = np.linspace(0.0, 1.0, 41)
+    kio.write_trajectory_csv(path, TrajectoryDataset(np.arange(40), x[:-1], x[1:], x[1:]))
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("fit", "[fit]\ngrid_n = abc\n", "[fit] grid_n must be an integer, got 'abc'"),
+        ("convergence", "[convergence]\netas =\n", "[convergence] etas must list at least one number"),
+        ("convergence", "[convergence]\netas = 1, abc\n", "[convergence] etas contains a non-number"),
+        ("fit", "", "surface grids require 2-D states"),
+    ],
+    ids=["count-not-an-integer", "empty-list", "list-non-number", "fit-1d-states"],
+)
+def test_argument_errors_exit_2_and_write_nothing(tmp_path, capsys, command, setting, message):
+    trajectory = tmp_path / "line.csv"
+    _line_trajectory(trajectory)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(setting)
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out), command, "--trajectory", str(trajectory)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_convergence_with_too_few_usable_rows_writes_a_nan_slope(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[convergence]\nerror_floor = 1e9\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "convergence"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: too few usable rows for a slope fit\n"
+    assert captured.out == "convergence: 7 rows, log-log slope nan\n"
+    comments, _, rows = _read_table(tmp_path / "convergence.csv")
+    assert (comments["loglog_slope"], comments["loglog_intercept"]) == ("nan", "nan")
+    assert len(rows) == 7
+
+
+def test_fit_with_a_matern_beta_whose_scale_overflows(tmp_path, capsys):
+    # sqrt(3)/beta is inf in floating point; the kernel matrix is the identity
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[kernel]\nbeta = 1e-320\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "fit"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "fit: M=37 fill=0.2006 cond=1.0000e+00\n"
+    assert captured.err == ""

@@ -179,3 +179,57 @@ def test_fill_distance_is_exact_and_chunked():
     fill, peak = _peak_bytes(fill_distance, centers, reference)
     assert fill == cdist(reference, centers).min(axis=1).max()
     assert peak < 16 * MiB
+
+
+_EMPTY = np.empty((0, 2))
+_LINE = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, what, shape",
+    [
+        (lambda: subselect_centers(np.zeros((2, 2, 2)), 0.5), "trajectory", "(2, 2, 2)"),
+        (lambda: fill_distance(_EMPTY, np.ones((3, 2))), "centers", "(0, 2)"),
+        (lambda: fill_distance(np.ones((3, 2)), _EMPTY), "reference", "(0, 2)"),
+        (lambda: separation(_EMPTY), "centers", "(0, 2)"),
+        (lambda: eta_for_center_count(_EMPTY, 1), "trajectory", "(0, 2)"),
+    ],
+    ids=["subselect-3d", "fill-centers", "fill-reference", "separation", "eta-for-count"],
+)
+def test_unusable_points_name_the_argument_and_its_shape(call, what, shape):
+    with pytest.raises(DegenerateInputError) as err:
+        call()
+    assert str(err.value) == f"{what} must be a nonempty (m, d) set of points, got shape {shape}"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: subselect_centers(_LINE, 0.5, seed_centers=PointSet([0.0], indices=[0])),
+            InvalidArgumentError,
+            "seed centers have dimension 1, trajectory 2",
+        ),
+        (
+            lambda: subselect_centers(_LINE, 0.5, seed_centers=PointSet(_LINE[:1])),
+            InvalidArgumentError,
+            "seed centers must carry trajectory indices",
+        ),
+        (
+            lambda: fill_distance(np.array([0.0, 1.0]), _LINE),
+            InvalidArgumentError,
+            "dimension mismatch: centers 1, reference 2",
+        ),
+        (lambda: eta_for_center_count(_LINE, 4), InvalidArgumentError, "count must be in [1, 3], got 4"),
+        (
+            lambda: eta_for_center_count(np.vstack([_LINE[:2], _LINE[:1]]), 3),
+            DegenerateInputError,
+            "trajectory has repeated states; cannot reach 3 centers",
+        ),
+    ],
+    ids=["seed-dimension", "seed-without-indices", "fill-dimension", "count-range", "repeated"],
+)
+def test_geometry_argument_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

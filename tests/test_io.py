@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from kernelkoop.io import (
     read_trajectory_csv,
     write_estimate_csv,
     write_pointset_csv,
+    write_rows_csv,
     write_trajectory_csv,
 )
 
@@ -262,3 +264,44 @@ def test_multi_line_comment_values_are_written_on_one_line(tmp_path):
     write_trajectory_csv(path, ds, {"etas": "1.8, 1.2,\n0.8, 0.55", "steps": 3})
     assert path.read_text().startswith("# etas = 1.8, 1.2, 0.8, 0.55\n# steps = 3\nk,")
     assert read_trajectory_csv(path).k.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("cleanup_fails", [False, True], ids=["temp-removed", "cleanup-fails"])
+def test_failed_atomic_write_raises_its_own_error(tmp_path, monkeypatch, cleanup_fails):
+    if cleanup_fails:
+        def unlink(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "unlink", unlink)
+    with pytest.raises(UnicodeEncodeError) as err:
+        atomic_write_text(tmp_path / "out.csv", "bad \ud800\n")
+    assert str(err.value) == (
+        "'utf-8' codec can't encode character '\\ud800' in position 4: surrogates not allowed"
+    )
+    # the temp file goes unless removing it failed too; the target is never written
+    assert len(list(tmp_path.iterdir())) == int(cleanup_fails)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _header_only_estimate(path):
+    path.write_text("# mode = pullback\nidx,c1,c2,a1,a2,alpha1\n")
+    return read_estimate_csv(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda path: write_rows_csv(path, ["ok"], np.array([[True]])),
+            TypeError,
+            "cannot write a column of dtype bool",
+        ),
+        (_header_only_estimate, CsvFormatError, "{path}: estimate file has no centers"),
+    ],
+    ids=["column-dtype", "estimate-without-centers"],
+)
+def test_io_errors(tmp_path, call, error, message):
+    path = tmp_path / "table.csv"
+    with pytest.raises(error) as err:
+        call(path)
+    assert str(err.value) == message.format(path=path)

@@ -276,3 +276,36 @@ def test_matern_overflowed_distance_gives_zero(convention):
     assert predict(estimate, np.vstack([far, [[1e160, 0.0]]])).tolist() == [[0.0], [0.0]]
     # an infinite distance gives 0.0, a NaN one still gives NaN
     assert np.isnan(_profile(spec, np.array([np.inf, np.nan]))).tolist() == [False, True]
+
+
+def test_from_config_requires_the_family_key():
+    with pytest.raises(ConfigError) as err:
+        KernelSpec.from_config({"beta": "2.0"})
+    assert str(err.value) == "kernel config is missing the 'family' key"
+
+
+@pytest.mark.parametrize("beta", [1e-320, 5e-324])
+@pytest.mark.parametrize("convention", ["plain", "squared"])
+def test_matern_scale_is_capped_so_the_diagonal_stays_one(convention, beta):
+    # sqrt(3)/beta overflows below beta = 9.63e-309; inf * 0 at r = 0 would give NaN
+    spec = KernelSpec("matern", beta=beta, distance_convention=convention)
+    points = np.array([[0.0, 0.0], [1e-3, 0.0]])
+    assert kernel_matrix(spec, points, points).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert kernel_matrix(spec, points, points.copy()).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    centers = PointSet(points, indices=[0, 1])
+    report = SolveReport(np.ones((2, 1)), 1.0, 1.0)
+    estimate = KoopmanEstimate(EstimateMode.PULLBACK, centers, centers, report.coefficients, spec, report)
+    assert predict(estimate, np.array([[0.0, 0.0], [0.5, 0.0]])).tolist() == [[1.0], [0.0]]
+
+
+@pytest.mark.parametrize("convention", ["plain", "squared"])
+def test_matern_scale_cap_keeps_the_bits_of_every_finite_scale(convention):
+    # the smallest betas whose scale sqrt(3)/beta is still finite, and a few ordinary ones
+    smallest = np.nextafter(math.sqrt(3.0) / np.finfo(float).max, 1.0)
+    for beta in (smallest, np.nextafter(smallest, 1.0), 1e-300, 1e-3, 1.0):
+        scale = math.sqrt(3.0) / beta
+        assert math.isfinite(scale)
+        spec = KernelSpec("matern", beta=beta, distance_convention=convention)
+        r = np.array([0.0, 1e-320, 1e-310, beta, 3.0 * beta])
+        s = scale * (r if convention == "plain" else r * r)
+        assert _profile(spec, r).tobytes() == ((1.0 + s) * np.exp(-s)).tobytes()

@@ -9,9 +9,11 @@ from scipy.spatial.distance import pdist
 
 from kernelkoop import (
     DegenerateInputError,
+    EdmdOperator,
     EstimateMode,
     InvalidArgumentError,
     KernelSpec,
+    KoopmanEstimate,
     PendulumConfig,
     PointSet,
     SolveReport,
@@ -516,3 +518,53 @@ def test_sup_error_falls_at_the_rate_of_the_kernel_smoothness(rate_levels, kern,
         errors.append(np.max(np.linalg.norm(residual, axis=1)))
     slope = np.polyfit(np.log(fills), np.log(errors), 1)[0]
     assert slope > floor, slope
+
+
+_TWO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), indices=[0, 1])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: TrajectoryDataset(
+                k=[0, 1], x=[[0.0, 0.0], [1.0, 0.0]], x_next=[0.0, 1.0], y_next=[0.0, 1.0]
+            ),
+            "x and x_next must share dimension",
+        ),
+        (
+            lambda: KoopmanEstimate(
+                EstimateMode.PULLBACK, _TWO, PointSet([[0.0, 0.0]]), np.ones((2, 1)), MATERN1,
+                SolveReport(np.ones((2, 1)), 1.0, 1.0),
+            ),
+            "centers, advanced centers and coefficient rows must agree",
+        ),
+        (
+            lambda: fit_pullback(
+                simulate(PendulumConfig(steps=10)), PointSet([[9.0, 9.0]], indices=[0]), MATERN1
+            ),
+            "center coordinates disagree with dataset states",
+        ),
+        (lambda: empirical_risk([1.0, 2.0], [1.0]), "shape mismatch: (2,) vs (1,)"),
+        (
+            lambda: edmd_fit(np.ones((2, 3)), np.ones((2, 4))),
+            "basis evaluation matrices must share shape, got (2, 3) and (2, 4)",
+        ),
+        (
+            lambda: edmd_apply(EdmdOperator(np.eye(2), _TWO, MATERN1), [1.0, 2.0, 3.0], [0.0, 0.0]),
+            "g_coeffs must have length 2, got 3",
+        ),
+    ],
+    ids=[
+        "state-dimension",
+        "estimate-rows",
+        "center-coordinates",
+        "risk-shape",
+        "edmd-shape",
+        "edmd-coefficients",
+    ],
+)
+def test_koopman_argument_errors(call, message):
+    with pytest.raises(InvalidArgumentError) as err:
+        call()
+    assert str(err.value) == message

@@ -9,6 +9,7 @@ from kernelkoop import (
     CsvFormatError,
     DegenerateInputError,
     InvalidArgumentError,
+    JointAngleSample,
     KernelSpec,
     MarkerFrame,
     PlanarFrame,
@@ -279,3 +280,23 @@ def test_extracted_record_has_one_column_entry_per_kept_frame():
     assert [s.t for s in samples] == samples.t.tolist()
     single = joint_angles(project_sagittal(frames[0]))
     assert single == samples[0]
+
+
+def _line_samples(n):
+    """n angle samples evenly spaced along theta1 in [0, 1], with theta1 as both outputs."""
+    theta1 = np.linspace(0.0, 1.0, n)
+    return JointAngleSample(np.arange(n), theta1, np.zeros(n), theta1, theta1)
+
+
+def test_build_dataset_needs_two_samples():
+    with pytest.raises(DegenerateInputError) as err:
+        build_dataset(_line_samples(1))
+    assert str(err.value) == "need at least 2 angle samples to form a trajectory"
+
+
+def test_fit_kinematics_logs_the_jitter_it_used(caplog):
+    # at beta = 1e8 every kernel entry rounds to 1.0, so only K + jitter*I factors
+    with caplog.at_level(logging.WARNING, logger="kernelkoop.mocap"):
+        g1, _ = fit_kinematics(_line_samples(6), eta=0.05, kernel=KernelSpec("matern", beta=1e8))
+    assert g1.diagnostics.jitter_used == 1e-12
+    assert caplog.messages == ["kernel system required jitter 1.000e-12"]
