@@ -165,15 +165,16 @@ def _pendulum_config(cfg) -> PendulumConfig:
     )
 
 
-def _dynamics_params(cfg) -> dict[str, str]:
-    return {f"dynamics.{k}": v for k, v in cfg["dynamics"].items()}
+def _params(cfg, *sections: str) -> dict[str, str]:
+    """The provenance of a command: every key of each section it reads, as written."""
+    return {f"{section}.{k}": v for section in sections for k, v in cfg[section].items()}
 
 
-def _sweep(cells, fn, what: str) -> list:
+def _sweep(cells, fn, what: str, key: str) -> list:
     """``fn(*cell)`` for each sweep cell ``(value, centers, ...)``, in order.
 
     A cell that keeps fewer than 2 centers is skipped with a warning naming
-    ``what=value``.
+    ``what=value``; a sweep that skips every cell fails, naming the config ``key``.
     """
     results = []
     for value, centers, *rest in cells:
@@ -181,6 +182,8 @@ def _sweep(cells, fn, what: str) -> list:
             print(f"warning: {what}={value} keeps fewer than 2 centers, skipped", file=sys.stderr)
         else:
             results.append(fn(value, centers, *rest))
+    if not results:
+        raise DegenerateInputError(f"every value of {key} keeps fewer than 2 centers")
     return results
 
 
@@ -228,8 +231,8 @@ def _surface_and_diagnostics(estimates, states: np.ndarray, grid_n: int):
 def cmd_simulate(args, cfg) -> tuple[dict, dict, str]:
     dataset = simulate(_pendulum_config(cfg))
     out = Path(args.out) / "trajectory.csv"
-    summary = f"wrote {out} ({len(dataset)} records)"
-    return {"trajectory.csv": (kio.write_trajectory_csv, dataset)}, _dynamics_params(cfg), summary
+    artifacts = {"trajectory.csv": (kio.write_trajectory_csv, dataset)}
+    return artifacts, _params(cfg, "dynamics"), f"wrote {out} ({len(dataset)} records)"
 
 
 def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
@@ -245,12 +248,7 @@ def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
     n = estimate.output_dim
     outputs = ["y_hat"] if n == 1 else [f"y{j + 1}_hat" for j in range(n)]
 
-    params = {
-        "fit.eta": kio.fmt(eta),
-        "fit.grid_n": grid_n,
-        **kio._kernel_params(kernel),
-        **dynamics,
-    }
+    params = {**_params(cfg, "fit", "kernel"), **dynamics}
     artifacts = {
         "estimate.csv": (kio.write_estimate_csv, estimate),
         "fit_surface.csv": (kio.write_rows_csv, ["z1", "z2", *outputs], surface),
@@ -274,21 +272,21 @@ def cmd_convergence(args, cfg) -> tuple[dict, dict, str]:
         return [eta, fill_distance(centers, states), len(centers), sup_error]
 
     cells = list(zip(etas, nested_center_sets(dataset, etas)))
-    rows = _sweep(cells, cell, "eta")
+    rows = _sweep(cells, cell, "eta", "[convergence] etas")
 
     fills = np.array([r[1] for r in rows])
     errors = np.array([r[3] for r in rows])
     usable = errors > floor
-    if usable.sum() >= 2:
-        slope, intercept = np.polyfit(np.log(fills[usable]), np.log(errors[usable]), 1)
-    else:
-        slope, intercept = float("nan"), float("nan")
-        print("warning: too few usable rows for a slope fit", file=sys.stderr)
+    if usable.sum() < 2:
+        raise DegenerateInputError(
+            "fewer than 2 rows have sup_error above [convergence] error_floor, too few for a slope"
+        )
+    slope, intercept = np.polyfit(np.log(fills[usable]), np.log(errors[usable]), 1)
 
     params = {
-        **kio._kernel_params(kernel),
+        **_params(cfg, "kernel"),
         **dynamics,
-        "convergence.etas": cfg["convergence"]["etas"],
+        **_params(cfg, "convergence"),
         "loglog_slope": kio.fmt(slope),
         "loglog_intercept": kio.fmt(intercept),
     }
@@ -313,16 +311,12 @@ def cmd_conditioning(args, cfg) -> tuple[dict, dict, str]:
         return row + [diag.cond, diag.lambda_min]
 
     cells = [(s, centers_at[s], kernel) for kernel in kernels for s in spacings]
-    rows = _sweep(cells, cell, "spacing")
+    rows = _sweep(cells, cell, "spacing", "[conditioning] spacings")
 
-    params = {
-        **_dynamics_params(cfg),
-        "conditioning.kernels": cfg["conditioning"]["kernels"],
-        "conditioning.spacings": cfg["conditioning"]["spacings"],
-    }
     header = ["kernel", "beta", "spacing", "M", "separation", "cond", "lambda_min"]
     summary = f"conditioning: {len(rows)} rows -> {Path(args.out) / 'conditioning.csv'}"
-    return {"conditioning.csv": (kio.write_rows_csv, header, rows)}, params, summary
+    table = (kio.write_rows_csv, header, rows)
+    return {"conditioning.csv": table}, _params(cfg, "dynamics", "conditioning"), summary
 
 
 def cmd_mineig(args, cfg) -> tuple[dict, dict, str]:
@@ -350,17 +344,12 @@ def cmd_mineig(args, cfg) -> tuple[dict, dict, str]:
         return block
 
     cells = [(eta, subselect_centers(dataset, eta)) for eta in base_etas]
-    rows = [row for block in _sweep(cells, cell, "base_eta") for row in block]
+    rows = [row for block in _sweep(cells, cell, "base_eta", "[mineig] base_etas") for row in block]
 
-    params = {
-        **_dynamics_params(cfg),
-        **kio._kernel_params(kernel),
-        "mineig.base_etas": cfg["mineig"]["base_etas"],
-        "mineig.deltas": cfg["mineig"]["deltas"],
-    }
     header = ["base_eta", "fill_distance", "M", "pair_distance", "lambda_min"]
     summary = f"mineig: {len(rows)} rows -> {Path(args.out) / 'mineig.csv'}"
-    return {"mineig.csv": (kio.write_rows_csv, header, rows)}, params, summary
+    table = (kio.write_rows_csv, header, rows)
+    return {"mineig.csv": table}, _params(cfg, "dynamics", "mineig"), summary
 
 
 def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
@@ -378,12 +367,6 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
     angle_states = np.column_stack((samples.theta1, samples.theta2))
     surface, diagnostics = _surface_and_diagnostics([g1, g2], angle_states, grid_n)
 
-    params = {
-        "mocap.eta": kio.fmt(eta),
-        "mocap.axis_fwd": axes[0],
-        "mocap.axis_up": axes[1],
-        **kio._kernel_params(kernel),
-    }
     artifacts = {
         "mocap_angles.csv": (
             kio.write_rows_csv,
@@ -400,7 +383,8 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
         ),
     }
     m, _, _, cond = diagnostics[:4]
-    return artifacts, params, f"mocap: {len(samples)} samples, M={m}, cond={cond:.4e}"
+    summary = f"mocap: {len(samples)} samples, M={m}, cond={cond:.4e}"
+    return artifacts, _params(cfg, "mocap"), summary
 
 
 # ---------------------------------------------------------------------------

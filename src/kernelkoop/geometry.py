@@ -8,7 +8,8 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import _MAX_ENTRIES, PointSet, as_points
+from . import kernels
+from .kernels import _MAX_ENTRIES, PointSet
 from .koopman import TrajectoryDataset
 
 # States gated per block by `subselect_centers`.
@@ -18,13 +19,8 @@ _BISECTIONS = 200
 
 
 def _points(data, what: str) -> np.ndarray:
-    """The states of a TrajectoryDataset (its ``x``), a PointSet, or an (m, d) or 1-D array."""
-    pts = data.x if isinstance(data, TrajectoryDataset) else as_points(data)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise DegenerateInputError(
-            f"{what} must be a nonempty (m, d) set of points, got shape {np.shape(data)}"
-        )
-    return pts
+    """``kernels._points`` of a TrajectoryDataset's states ``x``, a PointSet, or an array."""
+    return kernels._points(data.x if isinstance(data, TrajectoryDataset) else data, what)
 
 
 def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = None) -> PointSet:

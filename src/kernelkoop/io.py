@@ -54,18 +54,12 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-_KERNEL = "kernel."
 _KERNEL_KEYS = tuple(f.name for f in fields(KernelSpec))
 # the comment block of an estimate file, in written order; the reader requires every key
 _ESTIMATE_KEYS = (
-    "mode", *(_KERNEL + key for key in _KERNEL_KEYS),
+    "mode", *(f"kernel.{key}" for key in _KERNEL_KEYS),
     "condition_number", "min_eigenvalue", "jitter_used",
 )
-
-
-def _kernel_params(kernel: KernelSpec) -> dict[str, str]:
-    """The ``kernel.<key>`` provenance comments of a kernel, parsed back by read_estimate_csv."""
-    return {_KERNEL + key: value for key, value in kernel.to_config().items()}
 
 
 def write_rows_csv(path, header: Sequence[str], rows, params=None) -> None:
@@ -220,7 +214,7 @@ def write_estimate_csv(path, estimate: KoopmanEstimate, params=None) -> None:
     report = estimate.diagnostics
     values = [
         estimate.mode.value,
-        *_kernel_params(estimate.kernel).values(),
+        *estimate.kernel.to_config().values(),  # in field order, as _KERNEL_KEYS
         *map(fmt, (report.condition_number, report.min_eigenvalue, report.jitter_used)),
     ]
     meta = {**(params or {}), **dict(zip(_ESTIMATE_KEYS, values))}

@@ -187,6 +187,18 @@ def as_points(obj) -> np.ndarray:
     return pts[:, None] if pts.ndim == 1 else pts
 
 
+def _points(obj, what: str) -> np.ndarray:
+    """``as_points(obj)``, required to be a nonempty (m, d) set of finite points named ``what``."""
+    pts = as_points(obj)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise DegenerateInputError(
+            f"{what} must be a nonempty (m, d) set of points, got shape {np.shape(obj)}"
+        )
+    if not np.isfinite(pts).all():
+        raise InvalidArgumentError(f"{what} must be finite")
+    return pts
+
+
 def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """Evaluate the radial profile on an array of Euclidean distances.
 
@@ -239,15 +251,8 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     Every coordinate must be finite.
     """
     gram = B is A
-    pa = as_points(A)
-    pb = pa if gram else as_points(B)
-    for pts, obj in ((pa, A), (pb, B)):
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise DegenerateInputError(
-                f"expected a nonempty set of points, got shape {np.shape(obj)}"
-            )
-        if not np.isfinite(pts).all():
-            raise InvalidArgumentError("kernel points must be finite")
+    pa = _points(A, "kernel points")
+    pb = pa if gram else _points(B, "kernel points")
     if pa.shape[1] != pb.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}"

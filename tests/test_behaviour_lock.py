@@ -91,10 +91,31 @@ def cells_match(got: str, want: str) -> bool:
     return math.isclose(a, b, rel_tol=RTOL, abs_tol=0.0)
 
 
+def _kept(new: str, old: str | None) -> str:
+    return old if old is not None and cells_match(new, old) else new
+
+
 def write_goldens(out: Path) -> None:
+    """Write the goldens from the artifacts in ``out``.
+
+    Each old cell that the lock accepts for its new value is kept, comment
+    values by key and rows by position, so last-digit differences between
+    machines rewrite no golden.
+    """
     GOLDEN.mkdir(exist_ok=True)
     for name in ARTIFACTS:
         comments, header, rows = locked_table(out / name)
+        old_comments, old_header, old_rows = [], None, []
+        if (GOLDEN / name).exists():
+            old_comments, old_header, old_rows = read_table(GOLDEN / name)
+        old = dict(old_comments)
+        comments = [(key, _kept(value, old.get(key))) for key, value in comments]
+        if header == old_header:
+            rows = [
+                [_kept(cell, was) for cell, was in zip(row, old_rows[i])]
+                if i < len(old_rows) and len(old_rows[i]) == len(row) else row
+                for i, row in enumerate(rows)
+            ]
         lines = [f"# {key} = {value}" for key, value in comments]
         lines += [",".join(header)] + [",".join(row) for row in rows]
         (GOLDEN / name).write_text("\n".join(lines) + "\n")

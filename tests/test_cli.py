@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from conftest import synthetic_gait_frames, write_marker_csv
-from kernelkoop import TrajectoryDataset, cli, subselect_centers
+from kernelkoop import KernelSpec, TrajectoryDataset, cli, subselect_centers
 from kernelkoop import io as kio
 from kernelkoop.cli import ETA_37_CENTERS, main
 from kernelkoop.io import read_estimate_csv, read_trajectory_csv
@@ -649,18 +649,85 @@ def test_argument_errors_exit_2_and_write_nothing(tmp_path, capsys, command, set
     assert not out.exists()
 
 
-def test_convergence_with_too_few_usable_rows_writes_a_nan_slope(tmp_path, capsys):
+def test_convergence_with_too_few_usable_rows_exits_3_and_writes_nothing(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "simulate"]) == 0
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[convergence]\nerror_floor = 1e9\n")
     capsys.readouterr()
-    assert main(["--config", str(cfg), "--out", str(tmp_path), "convergence"]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "convergence"]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "warning: too few usable rows for a slope fit\n"
-    assert captured.out == "convergence: 7 rows, log-log slope nan\n"
-    comments, _, rows = _read_table(tmp_path / "convergence.csv")
-    assert (comments["loglog_slope"], comments["loglog_intercept"]) == ("nan", "nan")
-    assert len(rows) == 7
+    assert captured.err == (
+        "error: fewer than 2 rows have sup_error above [convergence] error_floor,"
+        " too few for a slope\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, setting, skipped, key",
+    [
+        ("convergence", "[convergence]\netas = 100, 50\n", ["eta=100.0", "eta=50.0"],
+         "[convergence] etas"),
+        ("conditioning", "[conditioning]\nspacings = 100\n", ["spacing=100.0"] * 7,
+         "[conditioning] spacings"),
+        ("mineig", "[mineig]\nbase_etas = 100\n", ["base_eta=100.0"], "[mineig] base_etas"),
+    ],
+    ids=["convergence", "conditioning", "mineig"],
+)
+def test_study_that_skips_every_cell_exits_3_and_writes_nothing(
+    tmp_path, capsys, command, setting, skipped, key
+):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(setting)
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--out", str(tmp_path), command]) == 3
+    lines = [f"warning: {cell} keeps fewer than 2 centers, skipped" for cell in skipped]
+    lines.append(f"error: every value of {key} keeps fewer than 2 centers")
+    assert capsys.readouterr().err == "".join(line + "\n" for line in lines)
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+# written unlike their normalized values, so a recorded value shows where it came from
+_AS_WRITTEN = (
+    "[dynamics]\nh = 0.10\n[kernel]\nbeta = 2\n[fit]\neta = .232\n[mocap]\nfamily = Matern\n"
+)
+_SECTIONS_READ = {
+    "simulate": ["dynamics"],
+    "fit": ["fit", "kernel", "dynamics"],
+    "convergence": ["kernel", "dynamics", "convergence"],
+    "conditioning": ["dynamics", "conditioning"],
+    "mineig": ["dynamics", "mineig"],
+    "mocap": ["mocap"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SECTIONS_READ))
+def test_every_artifact_records_every_key_of_the_sections_its_command_read(tmp_path, command):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(_AS_WRITTEN)
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "simulate"]) == 0
+    markers = tmp_path / "markers.csv"
+    write_marker_csv(markers, synthetic_gait_frames())
+    trajectory = ["--trajectory", str(tmp_path / "trajectory.csv")]
+    extra = {"fit": trajectory, "convergence": trajectory, "mocap": ["--markers", str(markers)]}
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command, *extra.get(command, [])]) == 0
+
+    config = cli.load_config(str(cfg))
+    wanted = {f"{s}.{k}": v for s in _SECTIONS_READ[command] for k, v in config[s].items()}
+    artifacts = sorted(out.glob("*.csv"))
+    assert artifacts
+    for path in artifacts:
+        expected = dict(wanted)
+        if path.name.startswith(("estimate", "mocap_estimate")):
+            # the kernel as read_estimate_csv needs it, normalized
+            kernel = KernelSpec.from_config(config["mocap" if command == "mocap" else "kernel"])
+            expected.update((f"kernel.{k}", v) for k, v in kernel.to_config().items())
+            assert read_estimate_csv(path).kernel == kernel
+        comments, _, _ = _read_table(path)
+        assert {k: comments.get(k) for k in expected} == expected, path.name
 
 
 def test_fit_with_a_matern_beta_whose_scale_overflows(tmp_path, capsys):

@@ -233,3 +233,24 @@ def test_geometry_argument_errors(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda p: subselect_centers(p, 0.5), "trajectory"),
+        (lambda p: nested_center_sets(p, [1.0, 0.5]), "trajectory"),
+        (lambda p: fill_distance(p, _LINE), "centers"),
+        (lambda p: fill_distance(_LINE, p), "reference"),
+        (lambda p: separation(p), "centers"),
+        (lambda p: eta_for_center_count(p, 2), "trajectory"),
+    ],
+    ids=["subselect", "nested", "fill-centers", "fill-reference", "separation", "eta-for-count"],
+)
+def test_non_finite_points_name_the_argument(call, what, bad):
+    points = _LINE.copy()
+    points[1, 1] = bad
+    with pytest.raises(InvalidArgumentError) as err:
+        call(points)
+    assert str(err.value) == f"{what} must be finite"
