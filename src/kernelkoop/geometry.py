@@ -12,8 +12,6 @@ from . import kernels
 from .kernels import _MAX_ENTRIES, PointSet
 from .koopman import TrajectoryDataset
 
-# States gated per block by `subselect_centers`.
-_BLOCK = 256
 # Halvings of the eta bracket in `eta_for_center_count` before it gives up.
 _BISECTIONS = 200
 
@@ -34,22 +32,22 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
     ``seed_centers`` pre-populates the accepted set (used to build nested
     center sets); seeded points are returned first, in their given order.
 
-    The states are gated a block at a time, and the result is exactly that
-    of gating them one by one.  The accepted set only grows, so a state
-    within ``eta`` of a center accepted before its block stays rejected
-    whatever the block accepts: one ``cdist`` against those centers drops
-    it.  The survivors then pass the same strict gate, in trajectory order,
-    against the centers accepted earlier in the block.  Every distance is
-    computed by ``scipy.spatial.distance.cdist``.
+    Each seed rules out every state within ``eta`` of it, and each kept
+    state the later ones; every distance is computed by
+    ``scipy.spatial.distance.cdist``.
     """
     if not eta > 0:
         raise InvalidArgumentError(f"eta must be > 0, got {eta}")
     states = _points(trajectory, "trajectory")
     if isinstance(trajectory, TrajectoryDataset):
         indices = trajectory.k
-    else:  # None: the positions 0..m-1
-        indices = trajectory.indices if isinstance(trajectory, PointSet) else None
+    elif isinstance(trajectory, PointSet) and trajectory.indices is not None:
+        indices = trajectory.indices
+    else:
+        indices = np.arange(states.shape[0])
 
+    points, kept = [], []
+    alive = np.ones(states.shape[0], dtype=bool)
     if seed_centers is not None:
         if seed_centers.dim != states.shape[1]:
             raise InvalidArgumentError(
@@ -57,32 +55,21 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
             )
         if seed_centers.indices is None:
             raise InvalidArgumentError("seed centers must carry trajectory indices")
+        points, kept = [seed_centers.points], [seed_centers.indices]
+        for seed in seed_centers.points:
+            alive &= cdist(seed[None], states)[0] > eta
 
-    m, d = states.shape
-    n = 0 if seed_centers is None else len(seed_centers)
-    points = np.empty((n + m, d))
-    kept = np.empty(n + m, dtype=int)
-    if n:
-        points[:n] = seed_centers.points
-        kept[:n] = seed_centers.indices
-
-    chunk = _MAX_ENTRIES // _BLOCK
-    for start in range(0, m, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, m))
-        for lo in range(0, n, chunk):
-            far = cdist(states[rows], points[lo:min(lo + chunk, n)]) > eta
-            rows = rows[far.all(axis=1)]
-        far = cdist(states[rows], states[rows]) > eta
-        alive = np.ones(rows.size, dtype=bool)
-        for i in range(rows.size):
-            if alive[i]:
-                alive[i + 1:] &= far[i, i + 1:]
-        rows = rows[alive]
-        points[n:n + rows.size] = states[rows]
-        kept[n:n + rows.size] = rows if indices is None else indices[rows]
-        n += rows.size
-    # copies, so the result does not hold on to the (seeds + m)-row buffers
-    return PointSet(points[:n].copy(), indices=kept[:n].copy())
+    rows = []
+    i = 0
+    while alive[i:].any():
+        i += int(alive[i:].argmax())
+        rows.append(i)
+        alive[i + 1:] &= cdist(states[i:i + 1], states[i + 1:])[0] > eta
+        i += 1
+    return PointSet(
+        np.concatenate(points + [states[rows]]),
+        indices=np.concatenate(kept + [indices[rows]]),
+    )
 
 
 def nested_center_sets(trajectory, etas: Sequence[float]) -> list[PointSet]:

@@ -190,7 +190,7 @@ def as_points(obj) -> np.ndarray:
 def _points(obj, what: str) -> np.ndarray:
     """``as_points(obj)``, required to be a nonempty (m, d) set of finite points named ``what``."""
     pts = as_points(obj)
-    if pts.ndim != 2 or pts.shape[0] == 0:
+    if pts.ndim != 2 or 0 in pts.shape:
         raise DegenerateInputError(
             f"{what} must be a nonempty (m, d) set of points, got shape {np.shape(obj)}"
         )

@@ -96,6 +96,8 @@ class KoopmanEstimate:
             raise InvalidArgumentError(
                 "centers, advanced centers and coefficient rows must agree"
             )
+        if not np.isfinite(self.alpha).all():
+            raise InvalidArgumentError("coefficients must be finite")
 
     @property
     def output_dim(self) -> int:
@@ -262,6 +264,8 @@ def edmd_fit(
         raise InvalidArgumentError(
             f"basis evaluation matrices must share shape, got {Px.shape} and {Pp.shape}"
         )
+    if not (np.isfinite(Px).all() and np.isfinite(Pp).all()):
+        raise InvalidArgumentError("basis evaluation matrices must be finite")
     n_basis = Px.shape[0]
     solution, _, rank, _ = np.linalg.lstsq(Px.T, Pp.T, rcond=None)
     A = solution.T

@@ -98,6 +98,8 @@ def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
         raise InvalidArgumentError(
             f"rhs must have {K.shape[0]} rows, got shape {np.shape(rhs)}"
         )
+    if not np.isfinite(b).all():
+        raise InvalidArgumentError("rhs must be finite")
     diag = spectral_diagnostics(K)
     if jitter_policy == "auto":
         unit = float(np.trace(K)) / K.shape[0]

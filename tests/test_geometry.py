@@ -8,16 +8,17 @@ from conftest import reference_subselect
 from kernelkoop import (
     DegenerateInputError,
     InvalidArgumentError,
+    KernelSpec,
     PendulumConfig,
     PointSet,
     eta_for_center_count,
     fill_distance,
+    kernel_matrix,
     nested_center_sets,
     separation,
     simulate,
     subselect_centers,
 )
-from kernelkoop import geometry
 
 MiB = 2**20
 
@@ -148,11 +149,9 @@ def test_subselect_accepts_pointset_with_indices():
     assert centers.indices.tolist() == [10, 12, 13]
 
 
-def test_subselect_chunks_the_center_axis(monkeypatch):
-    # seven centers per cdist, so every block is gated over several chunks
-    monkeypatch.setattr(geometry, "_MAX_ENTRIES", 7 * geometry._BLOCK)
+def test_subselect_equals_the_per_state_loop_on_a_seeded_3d_walk():
     rng = np.random.default_rng(17)
-    states = np.cumsum(rng.normal(scale=0.3, size=(3 * geometry._BLOCK + 40, 3)), axis=0)
+    states = np.cumsum(rng.normal(scale=0.3, size=(3 * 256 + 40, 3)), axis=0)
     seed_points, seed_idx = reference_subselect(states[:200], 1.5)
     seed = PointSet(seed_points, indices=seed_idx)
     for s in (None, seed):
@@ -169,6 +168,14 @@ def test_eta_for_center_count_memory_does_not_grow_with_m():
     eta, peak = _peak_bytes(eta_for_center_count, dataset, 37)
     assert len(subselect_centers(dataset, eta)) == 37
     assert peak < 16 * MiB
+
+
+def test_subselect_memory_is_a_mask_and_a_distance_row():
+    # 2e4 states, 1954 centers: a 256-state block of distances to them alone is 3.8 MiB
+    dataset = simulate(PendulumConfig(steps=20_000))
+    centers, peak = _peak_bytes(subselect_centers, dataset, 0.004)
+    assert len(centers) == 1954
+    assert peak < 1 * MiB
 
 
 def test_fill_distance_is_exact_and_chunked():
@@ -193,8 +200,24 @@ _LINE = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         (lambda: fill_distance(np.ones((3, 2)), _EMPTY), "reference", "(0, 2)"),
         (lambda: separation(_EMPTY), "centers", "(0, 2)"),
         (lambda: eta_for_center_count(_EMPTY, 1), "trajectory", "(0, 2)"),
+        (lambda: subselect_centers(np.empty((5, 0)), 0.5), "trajectory", "(5, 0)"),
+        (lambda: fill_distance(np.empty((2, 0)), np.empty((2, 0))), "centers", "(2, 0)"),
+        (
+            lambda: kernel_matrix(KernelSpec("matern"), np.empty((3, 0)), np.empty((3, 0))),
+            "kernel points",
+            "(3, 0)",
+        ),
     ],
-    ids=["subselect-3d", "fill-centers", "fill-reference", "separation", "eta-for-count"],
+    ids=[
+        "subselect-3d",
+        "fill-centers",
+        "fill-reference",
+        "separation",
+        "eta-for-count",
+        "subselect-0d",
+        "fill-0d",
+        "kernel-matrix-0d",
+    ],
 )
 def test_unusable_points_name_the_argument_and_its_shape(call, what, shape):
     with pytest.raises(DegenerateInputError) as err:

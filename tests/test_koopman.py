@@ -34,6 +34,7 @@ from kernelkoop import (
     solve_spd,
     subselect_centers,
 )
+from kernelkoop.io import read_estimate_csv, write_estimate_csv
 from kernelkoop.kernels import _MAX_ENTRIES
 
 MATERN1 = KernelSpec("matern_sobolev32", beta=1.0)
@@ -520,6 +521,32 @@ def test_sup_error_falls_at_the_rate_of_the_kernel_smoothness(rate_levels, kern,
     assert slope > floor, slope
 
 
+@pytest.mark.parametrize(
+    "kern, floor",
+    [
+        (MATERN1, 3.0),
+        (KernelSpec("wendland_c2", support_scale=2.0), 3.0),
+        (KernelSpec("wendland_c4", support_scale=2.0), 4.5),
+        (KernelSpec("wendland_c6", support_scale=2.0), 6.0),
+    ],
+    ids=lambda v: v.label if isinstance(v, KernelSpec) else None,
+)
+def test_projected_sup_error_falls_at_the_rate_of_the_kernel_smoothness(rate_levels, kern, floor):
+    """The same slope for the projected estimator P_X U_f P_X G against G o f.
+
+    Measured at 2048 steps: Matern 4.21, C2 4.39, C4 6.34, C6 8.17; the four
+    profile mutations of the pullback test above give 2.0 to 2.3.
+    """
+    ds, states, levels = rate_levels
+    fills, errors = [], []
+    for centers in levels:
+        est = fit_umf(ds, centers, kern, g_at_centers=observable_G(centers.points))
+        fills.append(fill_distance(centers, states))
+        errors.append(np.max(np.abs(predict(est, ds.x)[:, 0] - observable_G(ds.x_next))))
+    slope = np.polyfit(np.log(fills), np.log(errors), 1)[0]
+    assert slope > floor, slope
+
+
 _TWO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), indices=[0, 1])
 
 
@@ -567,4 +594,46 @@ _TWO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), indices=[0, 1])
 def test_koopman_argument_errors(call, message):
     with pytest.raises(InvalidArgumentError) as err:
         call()
+    assert str(err.value) == message
+
+
+def _estimate_with_a_nan_coefficient(path):
+    ds = simulate(PendulumConfig(steps=30))
+    write_estimate_csv(path, fit_pullback(ds, subselect_centers(ds, 0.5), MATERN1))
+    lines = path.read_text().splitlines()
+    body = next(i for i, line in enumerate(lines) if line.startswith("idx")) + 1
+    lines[body] = ",".join(lines[body].split(",")[:-1] + ["nan"])
+    path.write_text("\n".join(lines) + "\n")
+    return read_estimate_csv(path)
+
+
+def _with_nan(values, index):
+    out = np.array(values, dtype=float)
+    out[index] = np.nan
+    return out
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: solve_spd(np.eye(3), [1.0, np.nan, 0.0]), "rhs must be finite"),
+        (
+            lambda tmp: fit_umf(*_random_dataset(np.random.default_rng(4), 6), MATERN1,
+                                g_at_centers=_with_nan(np.ones(6), 2)),
+            "rhs must be finite",
+        ),
+        (
+            lambda tmp: _estimate_with_a_nan_coefficient(tmp / "estimate.csv"),
+            "coefficients must be finite",
+        ),
+        (
+            lambda tmp: edmd_fit(_with_nan(np.eye(3), (1, 2)), np.eye(3)),
+            "basis evaluation matrices must be finite",
+        ),
+    ],
+    ids=["solve-rhs", "umf-g", "estimate-csv", "edmd-basis"],
+)
+def test_non_finite_solve_and_estimate_inputs_fail_loudly(tmp_path, call, message):
+    with pytest.raises(InvalidArgumentError) as err:
+        call(tmp_path)
     assert str(err.value) == message

@@ -42,7 +42,6 @@ from kernelkoop import (
     solve_spd,
     subselect_centers,
 )
-from kernelkoop.geometry import _BLOCK
 from kernelkoop.io import (
     read_estimate_csv,
     read_pointset_csv,
@@ -54,6 +53,9 @@ from kernelkoop.io import (
 )
 from kernelkoop.kernels import _profile
 from kernelkoop.koopman import _rows_at_times
+
+# `gated_states` draws trajectories of up to max_blocks * _BLOCK + 17 states.
+_BLOCK = 256
 
 FEW = settings(max_examples=25, deadline=None, database=None, derandomize=True)
 
