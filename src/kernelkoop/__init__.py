@@ -28,6 +28,7 @@ from .kernels import (
     KernelFamily,
     KernelSpec,
     PointSet,
+    TrajectoryDataset,
     eval_kernel,
     kernel_matrix,
 )
@@ -35,7 +36,6 @@ from .koopman import (
     EdmdOperator,
     EstimateMode,
     KoopmanEstimate,
-    TrajectoryDataset,
     edmd_apply,
     edmd_fit,
     empirical_risk,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .geometry import fill_distance, nested_center_sets, separation, subselect_centers
-from .kernels import KernelSpec, kernel_matrix
-from .koopman import TrajectoryDataset, fit_pullback, predict
+from .kernels import KernelSpec, TrajectoryDataset, kernel_matrix
+from .koopman import fit_pullback, predict
 from .linsys import _parse_jitter, spectral_diagnostics
 from .mocap import _plane_indices, extract_angles, fit_kinematics, read_marker_csv
 
@@ -39,18 +40,8 @@ from .mocap import _plane_indices, extract_angles, fit_kinematics, read_marker_c
 ETA_37_CENTERS = 0.232
 
 DEFAULTS: dict[str, dict[str, str]] = {
-    "dynamics": {
-        "x1_0": "0.0",
-        "x2_0": "2.0",
-        "h": "0.1",
-        "steps": "256",
-    },
-    "kernel": {
-        "family": "matern_sobolev32",
-        "beta": "1.0",
-        "support_scale": "1.0",
-        "distance_convention": "plain",
-    },
+    "dynamics": {f.name: str(f.default) for f in fields(PendulumConfig)},
+    "kernel": KernelSpec("matern_sobolev32").to_config(),
     "fit": {
         "eta": str(ETA_37_CENTERS),
         "grid_n": "60",
@@ -74,10 +65,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "mocap": {
         "eta": "0.5",
-        "family": "matern_sobolev32",
-        "beta": "2.0",
-        "support_scale": "1.0",
-        "distance_convention": "plain",
+        **KernelSpec("matern_sobolev32", beta=2.0).to_config(),
         "axis_fwd": "x",
         "axis_up": "z",
         "grid_n": "60",

@@ -10,12 +10,13 @@ scalar observable used in the synthetic experiments is
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .koopman import TrajectoryDataset
+from .errors import DegenerateInputError, InvalidArgumentError
+from .kernels import TrajectoryDataset
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,16 @@ class PendulumConfig:
     steps: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("x1_0", "x2_0", "h"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidArgumentError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("x1_0", "x2_0", "h", "steps"):
+            raw = getattr(self, name)
+            try:
+                value = operator.index(raw) if name == "steps" else float(raw)
+            except (TypeError, ValueError):
+                kind = "an integer" if name == "steps" else "a number"
+                raise InvalidArgumentError(f"{name} must be {kind}, got {raw!r}") from None
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not self.h > 0:
             raise InvalidArgumentError(f"time step must be > 0, got {self.h}")
         if self.steps < 1:
@@ -64,16 +72,23 @@ def hamiltonian(x1: float, x2: float) -> float:
 
 
 def simulate(config: PendulumConfig) -> TrajectoryDataset:
-    """Iterate the step map and record (k, x_k, x_{k+1}, G(x_{k+1})) per step."""
+    """Iterate the step map and record (k, x_k, x_{k+1}, G(x_{k+1})) per step, all finite."""
     states = np.empty((config.steps + 1, 2))
     states[0] = (config.x1_0, config.x2_0)
-    for i in range(config.steps):
-        states[i + 1] = pendulum_step(states[i, 0], states[i, 1], config.h)
-    x = states[:-1]
-    x_next = states[1:]
+    # an overflow is found by the finiteness check below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i in range(config.steps):
+                states[i + 1] = pendulum_step(states[i, 0], states[i, 1], config.h)
+        except ValueError:  # math.sin of an infinite angle
+            states[i + 1:] = np.nan
+        y_next = observable_G(states[1:])
+    bad = ~(np.isfinite(states[1:]).all(axis=1) & np.isfinite(y_next))
+    if bad.any():
+        raise DegenerateInputError(
+            f"the pendulum leaves the finite range at step {int(bad.argmax())}: "
+            "its state or G is not finite"
+        )
     return TrajectoryDataset(
-        k=np.arange(config.steps),
-        x=x,
-        x_next=x_next,
-        y_next=observable_G(x_next),
+        k=np.arange(config.steps), x=states[:-1], x_next=states[1:], y_next=y_next
     )

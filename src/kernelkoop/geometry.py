@@ -8,17 +8,10 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from . import kernels
-from .kernels import _MAX_ENTRIES, PointSet
-from .koopman import TrajectoryDataset
+from .kernels import _MAX_ENTRIES, PointSet, TrajectoryDataset, _points
 
 # Halvings of the eta bracket in `eta_for_center_count` before it gives up.
 _BISECTIONS = 200
-
-
-def _points(data, what: str) -> np.ndarray:
-    """``kernels._points`` of a TrajectoryDataset's states ``x``, a PointSet, or an array."""
-    return kernels._points(data.x if isinstance(data, TrajectoryDataset) else data, what)
 
 
 def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = None) -> PointSet:

@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CsvFormatError
-from .kernels import KernelSpec, PointSet
-from .koopman import EstimateMode, KoopmanEstimate, TrajectoryDataset
+from .kernels import KernelSpec, PointSet, TrajectoryDataset
+from .koopman import EstimateMode, KoopmanEstimate
 from .linsys import SolveReport
 
 

@@ -175,6 +175,50 @@ class PointSet:
         return self.points.shape[1]
 
 
+@dataclass
+class TrajectoryDataset:
+    """Ordered samples (k_i, x_{k_i}, x_{k_i+1}, y_{k_i+1}) from one trajectory.
+
+    Both the sampled states and their advanced states are stored, so the
+    estimators never need the (unknown) dynamics map itself.  Outputs are
+    measurements of the (unknown) observable at the advanced states.
+    Time indices must be unique and all values finite.
+    """
+
+    k: np.ndarray
+    x: np.ndarray
+    x_next: np.ndarray
+    y_next: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.k = np.asarray(self.k, dtype=int)
+        self.x = as_points(self.x)
+        self.x_next = as_points(self.x_next)
+        self.y_next = as_points(self.y_next)
+        m = self.k.shape[0]
+        if self.x.shape[0] != m or self.x_next.shape[0] != m or self.y_next.shape[0] != m:
+            raise InvalidArgumentError("record arrays must have equal length")
+        if self.x.shape != self.x_next.shape:
+            raise InvalidArgumentError("x and x_next must share dimension")
+        if m == 0:
+            raise DegenerateInputError("dataset is empty")
+        if not all(np.isfinite(a).all() for a in (self.x, self.x_next, self.y_next)):
+            raise DegenerateInputError("x, x_next and y_next must be finite")
+        if np.unique(self.k).size != m:
+            raise DegenerateInputError("time indices k must be unique")
+
+    def __len__(self) -> int:
+        return self.k.shape[0]
+
+    @property
+    def state_dim(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def output_dim(self) -> int:
+        return self.y_next.shape[1]
+
+
 def as_points(obj) -> np.ndarray:
     """The points of a PointSet or array-like as a float array.
 
@@ -188,7 +232,9 @@ def as_points(obj) -> np.ndarray:
 
 
 def _points(obj, what: str) -> np.ndarray:
-    """``as_points(obj)``, required to be a nonempty (m, d) set of finite points named ``what``."""
+    """The points ``what`` of a dataset (its states), PointSet or array: nonempty (m, d), finite."""
+    if isinstance(obj, TrajectoryDataset):
+        obj = obj.x
     pts = as_points(obj)
     if pts.ndim != 2 or 0 in pts.shape:
         raise DegenerateInputError(
@@ -219,7 +265,9 @@ def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         s += 1.0
         s *= e
         return s
-    d = r / spec.support_scale
+    # a distance that overflows to inf is outside the support, so it gives 0.0 unwarned
+    with np.errstate(over="ignore"):
+        d = r / spec.support_scale
     out = np.zeros_like(d)
     inside = ~(d >= 1.0)
     d = d[inside]

@@ -20,52 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import _MAX_ENTRIES, KernelSpec, PointSet, as_points, kernel_matrix
+from .kernels import _MAX_ENTRIES, KernelSpec, PointSet, TrajectoryDataset, as_points, kernel_matrix
 from .linsys import SolveReport, solve_spd
-
-
-@dataclass
-class TrajectoryDataset:
-    """Ordered samples (k_i, x_{k_i}, x_{k_i+1}, y_{k_i+1}) from one trajectory.
-
-    Both the sampled states and their advanced states are stored, so the
-    estimators never need the (unknown) dynamics map itself.  Outputs are
-    measurements of the (unknown) observable at the advanced states.
-    Time indices must be unique and all values finite.
-    """
-
-    k: np.ndarray
-    x: np.ndarray
-    x_next: np.ndarray
-    y_next: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.k = np.asarray(self.k, dtype=int)
-        self.x = as_points(self.x)
-        self.x_next = as_points(self.x_next)
-        self.y_next = as_points(self.y_next)
-        m = self.k.shape[0]
-        if self.x.shape[0] != m or self.x_next.shape[0] != m or self.y_next.shape[0] != m:
-            raise InvalidArgumentError("record arrays must have equal length")
-        if self.x.shape != self.x_next.shape:
-            raise InvalidArgumentError("x and x_next must share dimension")
-        if m == 0:
-            raise DegenerateInputError("dataset is empty")
-        if not all(np.isfinite(a).all() for a in (self.x, self.x_next, self.y_next)):
-            raise DegenerateInputError("x, x_next and y_next must be finite")
-        if np.unique(self.k).size != m:
-            raise DegenerateInputError("time indices k must be unique")
-
-    def __len__(self) -> int:
-        return self.k.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.y_next.shape[1]
 
 
 class EstimateMode(enum.Enum):

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import CsvFormatError, DegenerateInputError, InvalidArgumentError
 from .geometry import subselect_centers
 from .io import _read_body, _read_header
-from .kernels import KernelSpec
-from .koopman import KoopmanEstimate, TrajectoryDataset, fit_pullback
+from .kernels import KernelSpec, TrajectoryDataset
+from .koopman import KoopmanEstimate, fit_pullback
 
 log = logging.getLogger(__name__)
 

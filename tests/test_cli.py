@@ -3,7 +3,15 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from conftest import synthetic_gait_frames, write_marker_csv
-from kernelkoop import KernelSpec, TrajectoryDataset, cli, subselect_centers
+from kernelkoop import (
+    DegenerateInputError,
+    KernelSpec,
+    PendulumConfig,
+    TrajectoryDataset,
+    cli,
+    simulate,
+    subselect_centers,
+)
 from kernelkoop import io as kio
 from kernelkoop.cli import ETA_37_CENTERS, main
 from kernelkoop.io import read_estimate_csv, read_trajectory_csv
@@ -740,3 +748,31 @@ def test_fit_with_a_matern_beta_whose_scale_overflows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "fit: M=37 fill=0.2006 cond=1.0000e+00\n"
     assert captured.err == ""
+
+
+def test_fit_with_a_subnormal_wendland_support_is_quiet(tmp_path, capsys):
+    # every scaled distance between distinct states overflows to inf: the Gram matrix is I
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[kernel]\nfamily = wendland_c4\nsupport_scale = 1e-309\n")
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "fit"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith("cond=1.0000e+00\n")
+
+
+@pytest.mark.parametrize("setting", ["h = 1e200", "h = 1e308", "x1_0 = 1e200"])
+def test_diverging_pendulum_exits_3_with_one_error_line(tmp_path, capsys, setting):
+    key, value = (part.strip() for part in setting.split("="))
+    with pytest.raises(DegenerateInputError, match="at step 0: its state or G is not finite"):
+        simulate(PendulumConfig(**{key: float(value)}))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[dynamics]\n{setting}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the pendulum leaves the finite range at step 0")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()

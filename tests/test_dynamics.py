@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from kernelkoop import (
+    DegenerateInputError,
     InvalidArgumentError,
     PendulumConfig,
     hamiltonian,
@@ -101,3 +103,32 @@ def test_config_validation():
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(InvalidArgumentError, match=field):
         PendulumConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("steps", 2.5), ("steps", "10"), ("steps", None), ("x1_0", "0.5x"), ("x2_0", [1.0]), ("h", None)],
+)
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(InvalidArgumentError, match=f"^{field} must be "):
+        PendulumConfig(**{field: value})
+
+
+def test_config_converts_numbers_like_kernel_spec():
+    config = PendulumConfig(x1_0="0.5", x2_0=np.float32(2.0), h=1, steps=np.int64(3))
+    assert [type(v) for v in (config.x1_0, config.x2_0, config.h, config.steps)] == [
+        float, float, float, int,
+    ]
+    assert (config.x1_0, config.x2_0, config.h, config.steps) == (0.5, 2.0, 1.0, 3)
+
+
+def test_diverging_pendulum_names_its_first_non_finite_step():
+    # momentum near 1e154 makes the angle step h * p overflow after a few steps
+    with pytest.raises(DegenerateInputError) as err:
+        simulate(PendulumConfig(h=1e154, steps=50))
+    step = int(re.search(r"at step (\d+):", str(err.value)).group(1))
+    assert step > 0
+    ds = simulate(PendulumConfig(h=1e154, steps=step))
+    assert np.isfinite(ds.x_next).all() and np.isfinite(ds.y_next).all()
+    with pytest.raises(DegenerateInputError, match=f"at step {step}:"):
+        simulate(PendulumConfig(h=1e154, steps=step + 1))

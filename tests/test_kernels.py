@@ -1,10 +1,13 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+import kernelkoop
 from kernelkoop import (
     ConfigError,
     DegenerateInputError,
@@ -14,11 +17,13 @@ from kernelkoop import (
     KernelFamily,
     KernelSpec,
     KoopmanEstimate,
+    PendulumConfig,
     PointSet,
     SolveReport,
     eval_kernel,
     kernel_matrix,
     predict,
+    simulate,
 )
 from kernelkoop.kernels import _profile
 
@@ -309,3 +314,52 @@ def test_matern_scale_cap_keeps_the_bits_of_every_finite_scale(convention):
         r = np.array([0.0, 1e-320, 1e-310, beta, 3.0 * beta])
         s = scale * (r if convention == "plain" else r * r)
         assert _profile(spec, r).tobytes() == ((1.0 + s) * np.exp(-s)).tobytes()
+
+
+def test_trajectory_dataset_is_owned_by_kernels_and_re_exported_by_koopman():
+    import kernelkoop.kernels
+    import kernelkoop.koopman
+
+    assert kernelkoop.koopman.TrajectoryDataset is kernelkoop.kernels.TrajectoryDataset
+    assert kernelkoop.TrajectoryDataset is kernelkoop.kernels.TrajectoryDataset
+    assert kernelkoop.kernels.TrajectoryDataset.__module__ == "kernelkoop.kernels"
+
+
+@pytest.mark.parametrize("module", ["kernels", "geometry", "dynamics"])
+def test_point_layer_modules_import_no_estimator_io_or_cli(module):
+    # kernels (points, kernels) < linsys < koopman; geometry and dynamics sit on kernels only
+    tree = ast.parse(Path(kernelkoop.__file__).with_name(f"{module}.py").read_text("utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            imported.update(n.split(".", 1)[1] for n in names if n.startswith("kernelkoop."))
+    assert imported and not imported & {"koopman", "io", "mocap", "cli"}
+
+
+_MATERN_AND_C4 = [KernelSpec("matern", beta=0.7), KernelSpec("wendland_c4", support_scale=1.5)]
+
+
+@pytest.mark.parametrize("spec", _MATERN_AND_C4, ids=lambda s: s.label)
+def test_kernel_matrix_of_a_dataset_is_that_of_its_states(spec):
+    ds = simulate(PendulumConfig(steps=40))
+    X, Y = ds.x, ds.x_next
+    assert kernel_matrix(spec, ds, ds).tobytes() == kernel_matrix(spec, X, X).tobytes()
+    assert kernel_matrix(spec, ds, Y).tobytes() == kernel_matrix(spec, X, Y).tobytes()
+    assert kernel_matrix(spec, Y, ds).tobytes() == kernel_matrix(spec, Y, X).tobytes()
+
+
+@pytest.mark.parametrize("family", ["wendland_c2", "wendland_c4", "wendland_c6"])
+def test_wendland_overflowed_scaled_distance_gives_zero(family):
+    # r / 1e-309 overflows to inf for every r above about 0.18, which is outside the support
+    spec = KernelSpec(family, support_scale=1e-309)
+    points = np.array([[0.0, 0.0], [0.5, 0.0]])
+    assert kernel_matrix(spec, points, points).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert kernel_matrix(spec, points, points.copy()).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    centers = PointSet(points, indices=[0, 1])
+    report = SolveReport(np.ones((2, 1)), 1.0, 1.0)
+    estimate = KoopmanEstimate(EstimateMode.PULLBACK, centers, centers, report.coefficients, spec, report)
+    queries = np.array([[0.0, 0.0], [0.25, 0.0], [3.0, 0.0]])
+    assert predict(estimate, queries).tolist() == [[1.0], [0.0], [0.0]]
