@@ -231,7 +231,7 @@ def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
     dataset, dynamics = _read_trajectory(args)
 
     centers = subselect_centers(dataset, eta)
-    estimate = fit_pullback(dataset, centers, kernel, jitter_policy=cfg["fit"]["jitter"])
+    estimate = fit_pullback(dataset, centers, kernel, cfg["fit"]["jitter"], diagnostics="exact")
     surface, diagnostics = _surface_and_diagnostics([estimate], _all_states(dataset), grid_n)
     n = estimate.output_dim
     outputs = ["y_hat"] if n == 1 else [f"y{j + 1}_hat" for j in range(n)]

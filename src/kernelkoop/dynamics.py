@@ -37,7 +37,7 @@ class PendulumConfig:
             raw = getattr(self, name)
             try:
                 value = operator.index(raw) if name == "steps" else float(raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # an int too large for a float
                 kind = "an integer" if name == "steps" else "a number"
                 raise InvalidArgumentError(f"{name} must be {kind}, got {raw!r}") from None
             if isinstance(value, float) and not math.isfinite(value):

@@ -110,7 +110,7 @@ class KernelSpec:
             raw = getattr(self, key)
             try:
                 value = float(raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # an int too large for a float
                 raise InvalidArgumentError(f"{key} must be a number, got {raw!r}") from None
             if not 0 < value < math.inf:
                 raise InvalidArgumentError(f"{key} must be finite and > 0, got {value}")

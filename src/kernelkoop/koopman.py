@@ -102,15 +102,21 @@ def fit_pullback(
     centers: PointSet,
     kernel: KernelSpec,
     jitter_policy: str | float = "none",
+    diagnostics: str = "off",
 ) -> KoopmanEstimate:
     """Interpolate outputs against the kernel matrix of the advanced centers.
 
     Coefficients solve K(f(Xi), f(Xi)) alpha = [y at advanced centers].
     The fitted estimate reproduces every training output exactly (up to
     solver tolerance) when evaluated at the advanced centers.
+
+    ``diagnostics`` is the mode of ``solve_spd``.  The default ``"off"``
+    skips the eigendecomposition, so the report's ``condition_number`` and
+    ``min_eigenvalue`` are NaN; ``"exact"`` fills them in.  The
+    coefficients are the same in both modes.
     """
     advanced, targets = _advance(dataset, centers)
-    report = solve_spd(kernel_matrix(kernel, advanced, advanced), targets, jitter_policy)
+    report = solve_spd(kernel_matrix(kernel, advanced, advanced), targets, jitter_policy, diagnostics)
     return KoopmanEstimate(
         EstimateMode.PULLBACK, centers, advanced, report.coefficients, kernel, report
     )
@@ -122,6 +128,7 @@ def fit_umf(
     kernel: KernelSpec,
     g_at_centers: np.ndarray,
     jitter_policy: str | float = "none",
+    diagnostics: str = "off",
 ) -> KoopmanEstimate:
     """Projected estimator: project g, compose with the sampled dynamics, project again.
 
@@ -130,7 +137,10 @@ def fit_umf(
     solves.  ``g_at_centers`` (required) holds g evaluated at the centers,
     one row per center.  The diagnostics are the second solve's report;
     both solves factor the same K, so its cond, lambda_min and jitter are
-    those of the first.
+    those of the first.  The first solve runs with diagnostics off and the
+    second in the mode ``diagnostics`` (as in ``fit_pullback``: ``"off"``
+    by default, ``"exact"`` for the spectrum), so a fit computes at most
+    one eigendecomposition.
     """
     g = as_points(g_at_centers)
     if g.shape[0] != len(centers):
@@ -139,9 +149,9 @@ def fit_umf(
         )
     advanced, _ = _advance(dataset, centers)
     K = kernel_matrix(kernel, centers, centers)
-    first = solve_spd(K, g, jitter_policy)
+    first = solve_spd(K, g, jitter_policy, "off")
     C = kernel_matrix(kernel, centers, advanced)
-    report = solve_spd(K, C.T @ first.coefficients, jitter_policy)
+    report = solve_spd(K, C.T @ first.coefficients, jitter_policy, diagnostics)
     return KoopmanEstimate(
         EstimateMode.PROJECTED, centers, advanced, report.coefficients, kernel, report
     )

@@ -1,9 +1,11 @@
 """Symmetric positive-definite solves and spectral stability diagnostics.
 
 Coefficient systems K alpha = rhs are solved through a Cholesky
-factorization; the inverse is never formed.  Each solve reports the
-condition number and smallest eigenvalue of the raw input matrix, since
-those quantities drive the numerical stability of kernel interpolation.
+factorization; the inverse is never formed.  A solve with
+``diagnostics="exact"`` reports the condition number and smallest
+eigenvalue of the raw input matrix, since those quantities drive the
+numerical stability of kernel interpolation; with ``"off"`` it skips the
+eigendecomposition and reports NaN for both.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ class SolveReport:
     """Outcome of an SPD solve.
 
     ``condition_number`` and ``min_eigenvalue`` describe the raw input
-    matrix.  ``jitter_used`` > 0 means the solution is of the regularized
-    system (K + jitter*I) alpha = rhs.
+    matrix when the solve ran with ``diagnostics="exact"``, and are NaN
+    when it ran with ``"off"``.  ``jitter_used`` > 0 means the solution is
+    of the regularized system (K + jitter*I) alpha = rhs.
     """
 
     coefficients: np.ndarray
@@ -82,25 +85,39 @@ def _parse_jitter(jitter_policy, what: str = "jitter_policy") -> float:
     return jitter
 
 
-def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
+def solve_spd(
+    K, rhs, jitter_policy: str | float = "none", diagnostics: str = "exact"
+) -> SolveReport:
     """Solve (K + jitter*I) alpha = rhs with K symmetric positive definite.
 
     ``jitter_policy`` is ``"none"`` (fail on factorization failure, the
     default so conditioning studies measure raw matrices), a fixed finite
     jitter >= 0, or ``"auto"`` which retries with jitter escalating through
     {1e-12, 1e-10, 1e-8} * trace(K)/M after a failure at zero.
+
+    ``diagnostics`` is ``"exact"`` (the default: the report carries the
+    condition number and smallest eigenvalue from ``spectral_diagnostics``)
+    or ``"off"`` (no eigendecomposition; both are NaN).  Either mode checks
+    K and rhs alike, and a failed factorization names the smallest
+    eigenvalue in its ``NotPositiveDefiniteError``.
     """
     ladder = [_parse_jitter(jitter_policy)]
+    if diagnostics not in ("exact", "off"):
+        raise InvalidArgumentError(f"diagnostics must be 'exact' or 'off', got {diagnostics!r}")
     K = np.asarray(K, dtype=float)
     b = np.asarray(rhs, dtype=float)
-    # a K that is not 2-D is rejected by spectral_diagnostics, still before eigvalsh
+    # a K that is not 2-D is rejected by _check_symmetric, still before eigvalsh
     if K.ndim == 2 and (b.ndim not in (1, 2) or b.shape[0] != K.shape[0]):
         raise InvalidArgumentError(
             f"rhs must have {K.shape[0]} rows, got shape {np.shape(rhs)}"
         )
     if not np.isfinite(b).all():
         raise InvalidArgumentError("rhs must be finite")
-    diag = spectral_diagnostics(K)
+    if diagnostics == "exact":
+        diag = spectral_diagnostics(K)
+    else:
+        _check_symmetric(K)
+        diag = SpectralDiagnostics(np.nan, np.nan, np.nan)
     if jitter_policy == "auto":
         unit = float(np.trace(K)) / K.shape[0]
         ladder += [step * unit for step in _AUTO_JITTER_STEPS]
@@ -117,6 +134,8 @@ def solve_spd(K, rhs, jitter_policy: str | float = "none") -> SolveReport:
             min_eigenvalue=diag.lambda_min,
             jitter_used=lam,
         )
+    if diagnostics == "off":  # the error names the smallest eigenvalue in either mode
+        diag = spectral_diagnostics(K)
     raise NotPositiveDefiniteError(
         f"Cholesky factorization failed (min eigenvalue {diag.lambda_min:.3e}, "
         f"jitter ladder exhausted under policy {jitter_policy!r})"

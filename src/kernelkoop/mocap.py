@@ -224,7 +224,7 @@ def fit_kinematics(
             f"only {len(centers)} center(s) survive subselection with eta={eta}; "
             "the pose stream is too static to fit"
         )
-    estimate = fit_pullback(dataset, centers, kernel, jitter_policy="auto")
+    estimate = fit_pullback(dataset, centers, kernel, jitter_policy="auto", diagnostics="exact")
     if estimate.diagnostics.jitter_used > 0:
         log.warning(
             "kernel system required jitter %.3e", estimate.diagnostics.jitter_used

@@ -13,6 +13,7 @@ from kernelkoop import (
     subselect_centers,
 )
 from kernelkoop import io as kio
+from kernelkoop import koopman, linsys
 from kernelkoop.cli import ETA_37_CENTERS, main
 from kernelkoop.io import read_estimate_csv, read_trajectory_csv
 
@@ -736,6 +737,22 @@ def test_every_artifact_records_every_key_of_the_sections_its_command_read(tmp_p
             assert read_estimate_csv(path).kernel == kernel
         comments, _, _ = _read_table(path)
         assert {k: comments.get(k) for k in expected} == expected, path.name
+
+
+
+@pytest.mark.parametrize("command, per_fit", [("fit", 1), ("convergence", 0), ("mocap", 1)])
+def test_only_the_commands_that_write_cond_compute_a_spectrum(tmp_path, monkeypatch, command, per_fit):
+    # fit and mocap write cond and lambda_min; convergence fits once per level and writes neither
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    markers = tmp_path / "markers.csv"
+    write_marker_csv(markers, synthetic_gait_frames())
+    solve, spectrum = koopman.solve_spd, linsys.spectral_diagnostics
+    solves, spectra_computed = [], []
+    monkeypatch.setattr(koopman, "solve_spd", lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(linsys, "spectral_diagnostics", lambda K: spectra_computed.append(K) or spectrum(K))
+    extra = ["--markers", str(markers)] if command == "mocap" else []
+    assert main(["--out", str(tmp_path), command, *extra]) == 0
+    assert solves and len(spectra_computed) == per_fit * len(solves)
 
 
 def test_fit_with_a_matern_beta_whose_scale_overflows(tmp_path, capsys):

@@ -114,6 +114,14 @@ def test_config_rejects_a_field_of_the_wrong_type(field, value):
         PendulumConfig(**{field: value})
 
 
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "-huge"])
+@pytest.mark.parametrize("field", ["x1_0", "x2_0", "h"])
+def test_config_rejects_an_integer_too_large_for_a_float(field, value):
+    with pytest.raises(InvalidArgumentError, match=f"^{field} must be a number"):
+        PendulumConfig(**{field: value})
+
+
 def test_config_converts_numbers_like_kernel_spec():
     config = PendulumConfig(x1_0="0.5", x2_0=np.float32(2.0), h=1, steps=np.int64(3))
     assert [type(v) for v in (config.x1_0, config.x2_0, config.h, config.steps)] == [

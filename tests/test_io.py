@@ -59,7 +59,7 @@ def test_estimate_round_trip_exact(tmp_path):
     ds = simulate(PendulumConfig(steps=60))
     centers = subselect_centers(ds, 0.5)
     kernel = KernelSpec("wendland_c4", support_scale=1.5)
-    est = fit_pullback(ds, centers, kernel)
+    est = fit_pullback(ds, centers, kernel, diagnostics="exact")
     path = tmp_path / "estimate.csv"
     write_estimate_csv(path, est)
     back = read_estimate_csv(path)
@@ -71,6 +71,21 @@ def test_estimate_round_trip_exact(tmp_path):
     assert np.array_equal(back.advanced_centers.points, est.advanced_centers.points)
     assert back.diagnostics.condition_number == est.diagnostics.condition_number
     assert back.diagnostics.jitter_used == est.diagnostics.jitter_used
+
+
+
+def test_estimate_of_a_default_fit_round_trips_its_nan_diagnostics(tmp_path):
+    ds = simulate(PendulumConfig(steps=60))
+    est = fit_pullback(ds, subselect_centers(ds, 0.5), KernelSpec("matern_sobolev32"))
+    path = tmp_path / "estimate.csv"
+    write_estimate_csv(path, est)
+    assert "# condition_number = nan\n# min_eigenvalue = nan\n" in path.read_text()
+    back = read_estimate_csv(path)
+    names = ("condition_number", "min_eigenvalue", "jitter_used")
+    written = [getattr(est.diagnostics, name) for name in names]
+    assert np.isnan(written[:2]).all()
+    assert np.array_equal([getattr(back.diagnostics, name) for name in names], written, equal_nan=True)
+    assert np.array_equal(back.alpha, est.alpha)
 
 
 def test_writes_are_deterministic(tmp_path):

@@ -210,6 +210,14 @@ def test_spec_rejects_a_parameter_that_is_not_a_number(key, value):
             KernelSpec.from_config({"family": "wendland_c4", key: value})
 
 
+
+@pytest.mark.parametrize("family", ["matern_sobolev32", "wendland_c4"])
+@pytest.mark.parametrize("key", ["beta", "support_scale"])
+def test_spec_rejects_an_integer_too_large_for_a_float(key, family):
+    with pytest.raises(InvalidArgumentError, match=f"^{key} must be a number"):
+        KernelSpec(family, **{key: 10**400})
+
+
 def test_spec_config_round_trip():
     spec = KernelSpec("wendland_c6", beta=2.5, support_scale=0.75, distance_convention="squared")
     again = KernelSpec.from_config(spec.to_config())

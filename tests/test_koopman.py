@@ -32,8 +32,10 @@ from kernelkoop import (
     predict,
     simulate,
     solve_spd,
+    spectral_diagnostics,
     subselect_centers,
 )
+from kernelkoop import linsys
 from kernelkoop.io import read_estimate_csv, write_estimate_csv
 from kernelkoop.kernels import _MAX_ENTRIES
 
@@ -197,7 +199,7 @@ def test_umf_diagnostics_are_the_second_solve_report(jitter):
     ds = simulate(PendulumConfig(steps=60))
     centers = subselect_centers(ds, 0.3)
     g = observable_G(centers.points)[:, None]
-    est = fit_umf(ds, centers, MATERN1, g_at_centers=g, jitter_policy=jitter)
+    est = fit_umf(ds, centers, MATERN1, g_at_centers=g, jitter_policy=jitter, diagnostics="exact")
     K = kernel_matrix(MATERN1, centers, centers)
     C = kernel_matrix(MATERN1, centers, est.advanced_centers)
     first = solve_spd(K, g, jitter)
@@ -205,6 +207,50 @@ def test_umf_diagnostics_are_the_second_solve_report(jitter):
     for field in fields(SolveReport):
         assert np.array_equal(getattr(est.diagnostics, field.name), getattr(second, field.name))
     assert np.array_equal(est.alpha, second.coefficients)
+
+
+
+def _fit_matern(kind, dataset, centers, **options):
+    if kind == "pullback":
+        return fit_pullback(dataset, centers, MATERN1, **options)
+    g = observable_G(centers.points)[:, None]
+    return fit_umf(dataset, centers, MATERN1, g_at_centers=g, **options)
+
+
+@pytest.mark.parametrize("jitter", ["none", "auto"])
+@pytest.mark.parametrize("kind", ["pullback", "umf"])
+def test_a_fit_computes_the_spectrum_only_when_asked(monkeypatch, kind, jitter):
+    ds = simulate(PendulumConfig(steps=60))
+    centers = subselect_centers(ds, 0.3)
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return spectral_diagnostics(K)
+
+    monkeypatch.setattr(linsys, "spectral_diagnostics", counted)
+    default = _fit_matern(kind, ds, centers, jitter_policy=jitter)
+    assert calls == []
+    assert math.isnan(default.diagnostics.condition_number)
+    assert math.isnan(default.diagnostics.min_eigenvalue)
+    exact = _fit_matern(kind, ds, centers, jitter_policy=jitter, diagnostics="exact")
+    assert len(calls) == 1
+    solved = exact.advanced_centers if kind == "pullback" else centers
+    K = kernel_matrix(MATERN1, solved, solved)
+    assert calls[0].tobytes() == K.tobytes()
+    expected = spectral_diagnostics(K)
+    assert exact.diagnostics.condition_number == expected.cond
+    assert exact.diagnostics.min_eigenvalue == expected.lambda_min
+    assert default.alpha.tobytes() == exact.alpha.tobytes()
+    assert default.diagnostics.jitter_used == exact.diagnostics.jitter_used
+
+
+@pytest.mark.parametrize("kind", ["pullback", "umf"])
+def test_a_fit_rejects_an_unknown_diagnostics_mode(kind):
+    ds = simulate(PendulumConfig(steps=30))
+    centers = subselect_centers(ds, 0.5)
+    with pytest.raises(InvalidArgumentError, match="diagnostics must be 'exact' or 'off'"):
+        _fit_matern(kind, ds, centers, diagnostics="lanczos")
 
 
 def test_umf_requires_g_at_centers():

@@ -210,3 +210,73 @@ def test_empty_matrix_is_an_invalid_argument(policy):
         solve_spd(np.zeros((0, 0)), np.zeros(0), jitter_policy=policy)
     with pytest.raises(InvalidArgumentError, match="nonempty"):
         spectral_diagnostics(np.zeros((0, 0)))
+
+
+def _counting_spectrum(monkeypatch):
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return spectral_diagnostics(K)
+
+    monkeypatch.setattr(linsys, "spectral_diagnostics", counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy", ["none", "auto", 0.5])
+def test_a_solve_without_diagnostics_computes_no_spectrum(monkeypatch, policy):
+    K = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+    rhs = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
+    calls = _counting_spectrum(monkeypatch)
+    off = solve_spd(K, rhs, jitter_policy=policy, diagnostics="off")
+    assert calls == []
+    assert math.isnan(off.condition_number) and math.isnan(off.min_eigenvalue)
+    exact = solve_spd(K, rhs, jitter_policy=policy, diagnostics="exact")
+    assert len(calls) == 1
+    assert off.coefficients.tobytes() == exact.coefficients.tobytes()
+    assert off.jitter_used == exact.jitter_used
+    expected = spectral_diagnostics(K)
+    assert (exact.condition_number, exact.min_eigenvalue) == (expected.cond, expected.lambda_min)
+
+
+@pytest.mark.parametrize("mode", ["lanczos", "EXACT", None, True])
+def test_an_unknown_diagnostics_mode_fails_before_the_eigendecomposition(monkeypatch, mode):
+    def eigvalsh(K):
+        raise AssertionError("eigvalsh reached")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(InvalidArgumentError, match="diagnostics must be 'exact' or 'off'"):
+        solve_spd(np.eye(2), np.ones(2), diagnostics=mode)
+
+
+@pytest.mark.parametrize(
+    "K, message",
+    [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "not symmetric"),
+        (np.array([[1.0, 0.0], [0.0, math.nan]]), "finite"),
+        (np.zeros((0, 0)), "nonempty"),
+        (np.ones(3), "square"),
+    ],
+    ids=["asymmetric", "nan", "empty", "1-d"],
+)
+def test_a_solve_without_diagnostics_checks_the_matrix_alike(K, message):
+    rhs = np.ones(len(K))
+    for mode in ("exact", "off"):
+        with pytest.raises(InvalidArgumentError, match=message):
+            solve_spd(K, rhs, diagnostics=mode)
+
+
+@pytest.mark.parametrize("policy", ["none", "auto", 0.0])
+def test_a_failed_solve_names_the_min_eigenvalue_in_either_mode(monkeypatch, policy):
+    K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
+    messages = []
+    for mode in ("exact", "off"):
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            solve_spd(K, np.ones(2), jitter_policy=policy, diagnostics=mode)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "min eigenvalue -1.000e+00" in messages[0]
+    calls = _counting_spectrum(monkeypatch)
+    with pytest.raises(NotPositiveDefiniteError):
+        solve_spd(K, np.ones(2), jitter_policy=policy, diagnostics="off")
+    assert len(calls) == 1

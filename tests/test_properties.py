@@ -144,7 +144,7 @@ def _solve_bound(m, cond, scale):
 def test_pullback_interpolates_within_the_conditioning_bound(spec, points, data):
     y = data.draw(arrays(np.float64, (len(points), 2), elements=st.floats(-10.0, 10.0)))
     dataset = _affine_dataset(points, y)
-    estimate = fit_pullback(dataset, PointSet(points, indices=dataset.k), spec)
+    estimate = fit_pullback(dataset, PointSet(points, indices=dataset.k), spec, diagnostics="exact")
     residual = predict(estimate, estimate.advanced_centers.points) - y
     cond = estimate.diagnostics.condition_number
     assert np.linalg.norm(residual) <= _solve_bound(len(points), cond, np.linalg.norm(y))
@@ -156,7 +156,7 @@ def test_projected_estimator_equals_the_least_squares_operator(spec, points, dat
     g = data.draw(arrays(np.float64, (len(points), 1), elements=st.floats(-10.0, 10.0)))
     dataset = _affine_dataset(points, g)
     centers = PointSet(points, indices=dataset.k)
-    estimate = fit_umf(dataset, centers, spec, g_at_centers=g)
+    estimate = fit_umf(dataset, centers, spec, g_at_centers=g, diagnostics="exact")
     op = edmd_fit(
         kernel_sections(spec, centers, dataset.x),
         kernel_sections(spec, centers, dataset.x_next),
