@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import _MAX_ENTRIES, PointSet, TrajectoryDataset, _points
+from .kernels import _MAX_ENTRIES, PointSet, _points, _time_indices
 
 # Halvings of the eta bracket in `eta_for_center_count` before it gives up.
 _BISECTIONS = 200
@@ -32,12 +32,7 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
     if not eta > 0:
         raise InvalidArgumentError(f"eta must be > 0, got {eta}")
     states = _points(trajectory, "trajectory")
-    if isinstance(trajectory, TrajectoryDataset):
-        indices = trajectory.k
-    elif isinstance(trajectory, PointSet) and trajectory.indices is not None:
-        indices = trajectory.indices
-    else:
-        indices = np.arange(states.shape[0])
+    indices = _time_indices(trajectory)
 
     points, kept = [], []
     alive = np.ones(states.shape[0], dtype=bool)

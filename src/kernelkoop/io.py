@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CsvFormatError
-from .kernels import KernelSpec, PointSet, TrajectoryDataset
+from .kernels import KernelSpec, PointSet, TrajectoryDataset, _time_indices
 from .koopman import EstimateMode, KoopmanEstimate
 from .linsys import SolveReport
 
@@ -179,18 +179,13 @@ def read_trajectory_csv(path) -> TrajectoryDataset:
 # point sets
 
 
-def _indices(points: PointSet) -> np.ndarray:
-    """The trajectory indices of the points, or 0..M-1 when they carry none."""
-    return points.indices if points.indices is not None else np.arange(len(points))
-
-
 def _pointset_header(d: int) -> list[str]:
     return ["idx", *_names("x{}", d)]
 
 
 def write_pointset_csv(path, points: PointSet, params=None) -> None:
     header = _pointset_header(points.dim)
-    _write_columns(path, header, [_indices(points), *points.points.T], params)
+    _write_columns(path, header, [_time_indices(points), *points.points.T], params)
 
 
 def read_pointset_csv(path) -> PointSet:
@@ -220,7 +215,7 @@ def write_estimate_csv(path, estimate: KoopmanEstimate, params=None) -> None:
     meta = {**(params or {}), **dict(zip(_ESTIMATE_KEYS, values))}
     header = _estimate_header(estimate.centers.dim, estimate.output_dim)
     columns = [
-        _indices(estimate.centers),
+        _time_indices(estimate.centers),
         *estimate.centers.points.T,
         *estimate.advanced_centers.points.T,
         *estimate.alpha.T,

@@ -151,21 +151,14 @@ class PointSet:
     indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = as_points(self.points)
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-            raise InvalidArgumentError(
-                f"points must form a nonempty (M, d) array, got shape {np.shape(self.points)}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise InvalidArgumentError("points must be finite")
-        self.points = pts
+        # as_points refuses a dataset, which _points alone would take for its states
+        self.points = _points(as_points(self.points), "points")
         if self.indices is not None:
-            idx = np.asarray(self.indices, dtype=int)
-            if idx.shape != (pts.shape[0],):
+            self.indices = _integers(self.indices, "indices")
+            if self.indices.shape != (len(self),):
                 raise InvalidArgumentError(
-                    f"indices must have shape ({pts.shape[0]},), got {idx.shape}"
+                    f"indices must have shape ({len(self)},), got {self.indices.shape}"
                 )
-            self.indices = idx
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -191,12 +184,12 @@ class TrajectoryDataset:
     y_next: np.ndarray
 
     def __post_init__(self) -> None:
-        self.k = np.asarray(self.k, dtype=int)
+        self.k = _integers(self.k, "k")
         self.x = as_points(self.x)
         self.x_next = as_points(self.x_next)
         self.y_next = as_points(self.y_next)
-        m = self.k.shape[0]
-        if self.x.shape[0] != m or self.x_next.shape[0] != m or self.y_next.shape[0] != m:
+        m = self.x.shape[0]
+        if self.k.shape != (m,) or self.x_next.shape[0] != m or self.y_next.shape[0] != m:
             raise InvalidArgumentError("record arrays must have equal length")
         if self.x.shape != self.x_next.shape:
             raise InvalidArgumentError("x and x_next must share dimension")
@@ -229,6 +222,35 @@ def as_points(obj) -> np.ndarray:
         return obj.points
     pts = np.asarray(obj, dtype=float)
     return pts[:, None] if pts.ndim == 1 else pts
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values``, a scalar or 1-D, as int64; each must be an integer in the int64 range.
+
+    An integral float is one; NaN, 0.5, 2**63, a bool or text is not, and
+    raises InvalidArgumentError naming ``what`` and the first bad value.
+    """
+    arr = np.asarray(values)
+    if arr.ndim > 1:
+        raise InvalidArgumentError(f"{what} must be a scalar or 1-D, got shape {arr.shape}")
+    if arr.dtype.kind in "iu":  # a uint64 past the int64 range wraps to a negative int64
+        ok = arr == arr.astype(np.int64)
+    elif arr.dtype.kind == "f":
+        ok = (arr == np.floor(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63)
+    else:  # bools, text and objects: only Python ints pass
+        ok = np.vectorize(lambda v: type(v) is int and -(2**63) <= v < 2**63, otypes=[bool])(arr)
+    if not ok.all():
+        bad = arr[~ok].tolist()[0]
+        raise InvalidArgumentError(f"{what} must be integers in the int64 range, got {bad!r}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _time_indices(obj) -> np.ndarray:
+    """The time indices of points: a dataset's k, else a PointSet's indices, else 0..m-1."""
+    if isinstance(obj, TrajectoryDataset):
+        return obj.k
+    indices = obj.indices if isinstance(obj, PointSet) else None
+    return np.arange(len(as_points(obj))) if indices is None else indices
 
 
 def _points(obj, what: str) -> np.ndarray:

@@ -52,6 +52,11 @@ class KoopmanEstimate:
             raise InvalidArgumentError(
                 "centers, advanced centers and coefficient rows must agree"
             )
+        if self.advanced_centers.dim != self.centers.dim:
+            raise InvalidArgumentError("centers and advanced centers must share dimension")
+        # None equals only None: both carry the same time indices or neither does
+        if not np.array_equal(self.centers.indices, self.advanced_centers.indices):
+            raise InvalidArgumentError("centers and advanced centers must carry equal indices")
         if not np.isfinite(self.alpha).all():
             raise InvalidArgumentError("coefficients must be finite")
 
@@ -94,7 +99,7 @@ def _advance(dataset: TrajectoryDataset, centers: PointSet) -> tuple[PointSet, n
         raise InvalidArgumentError(f"center time index {t} not present in dataset")
     if not np.array_equal(dataset.x[rows], centers.points):
         raise InvalidArgumentError("center coordinates disagree with dataset states")
-    return PointSet(dataset.x_next[rows].copy(), indices=dataset.k[rows]), dataset.y_next[rows]
+    return PointSet(dataset.x_next[rows], indices=dataset.k[rows]), dataset.y_next[rows]
 
 
 def fit_pullback(

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CsvFormatError, DegenerateInputError, InvalidArgumentError
 from .geometry import subselect_centers
 from .io import _read_body, _read_header
-from .kernels import KernelSpec, TrajectoryDataset
+from .kernels import KernelSpec, TrajectoryDataset, _integers
 from .koopman import KoopmanEstimate, fit_pullback
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,9 @@ class _Markers:
     ankle: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.t) + (self._width,)
+        t = _integers(self.t, "t")
+        object.__setattr__(self, "t", t.item() if t.ndim == 0 else t)
+        shape = t.shape + (self._width,)
         for name in _MARKERS:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != shape:
@@ -184,11 +186,10 @@ def read_marker_csv(path) -> MarkerFrame:
         skipped = np.count_nonzero(~finite)
         log.warning("%s: skipped %d frame(s) with non-finite markers", path, skipped)
         table = table[finite]
-    t = table[:, 0]
-    bad = (t != np.floor(t)) | (t < -(2.0**63)) | (t >= 2.0**63)
-    if bad.any():
-        raise CsvFormatError(f"{path}: t must be an integer frame index, got {t[bad][0].item()!r}")
-    return MarkerFrame(t.astype(np.int64), *np.split(table[:, 1:], 3, axis=1))
+    try:
+        return MarkerFrame(table[:, 0], *np.split(table[:, 1:], 3, axis=1))
+    except InvalidArgumentError as exc:  # the markers are finite, so t is at fault
+        raise CsvFormatError(f"{path}: bad integer frame index ({exc})") from None
 
 
 def build_dataset(samples: JointAngleSample) -> TrajectoryDataset:

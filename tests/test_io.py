@@ -55,6 +55,18 @@ def test_pointset_round_trip_exact(tmp_path):
     assert np.array_equal(back.indices, ps.indices)
 
 
+def test_unindexed_points_are_numbered_by_position(tmp_path):
+    points = np.array([[0.0], [0.3], [0.7], [1.5]])
+    for trajectory in (points, PointSet(points)):
+        assert subselect_centers(trajectory, 0.5).indices.tolist() == [0, 2, 3]
+    indexed = PointSet(points, indices=[-4, 10, 11, 30])
+    assert subselect_centers(indexed, 0.5).indices.tolist() == [-4, 11, 30]
+    path = tmp_path / "points.csv"
+    write_pointset_csv(path, PointSet(points))
+    assert read_pointset_csv(path).indices.tolist() == [0, 1, 2, 3]
+    assert path.read_text().splitlines()[1:3] == ["0,0.0", "1,0.3"]
+
+
 def test_estimate_round_trip_exact(tmp_path):
     ds = simulate(PendulumConfig(steps=60))
     centers = subselect_centers(ds, 0.5)

@@ -20,6 +20,7 @@ from kernelkoop import (
     PendulumConfig,
     PointSet,
     SolveReport,
+    TrajectoryDataset,
     eval_kernel,
     kernel_matrix,
     predict,
@@ -266,7 +267,7 @@ def test_spec_accepts_alias_spellings():
 def test_pointset_validation():
     ps = PointSet(np.array([1.0, 2.0, 3.0]))
     assert ps.dim == 1 and len(ps) == 3
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(DegenerateInputError):
         PointSet(np.empty((0, 2)))
     with pytest.raises(InvalidArgumentError):
         PointSet(np.array([[1.0, np.nan]]))
@@ -274,6 +275,65 @@ def test_pointset_validation():
         PointSet(np.array([[1.0]]), indices=np.array([0, 1]))
     # any integer time index, as in a trajectory file
     assert PointSet(np.array([[1.0], [2.0]]), indices=[-100, -99]).indices.tolist() == [-100, -99]
+
+
+_LINE2 = [[0.0], [1.0]]
+
+
+def _dataset(k):
+    return TrajectoryDataset(k=k, x=_LINE2, x_next=_LINE2, y_next=_LINE2)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: PointSet(_LINE2, indices=[0.5, 1.7]), InvalidArgumentError,
+         "indices must be integers in the int64 range, got 0.5"),
+        (lambda: PointSet(_LINE2, indices=[0, 1e300]), InvalidArgumentError,
+         "indices must be integers in the int64 range, got 1e+300"),
+        (lambda: PointSet(_LINE2, indices=np.array([0, 2**63], np.uint64)), InvalidArgumentError,
+         "indices must be integers in the int64 range, got 9223372036854775808"),
+        (lambda: PointSet(_LINE2, indices=[True, False]), InvalidArgumentError,
+         "indices must be integers in the int64 range, got True"),
+        (lambda: PointSet(_LINE2, indices=["0", "1"]), InvalidArgumentError,
+         "indices must be integers in the int64 range, got '0'"),
+        (lambda: PointSet(_LINE2, indices=[[0], [1]]), InvalidArgumentError,
+         "indices must be a scalar or 1-D, got shape (2, 1)"),
+        (lambda: PointSet(np.empty((0, 2))), DegenerateInputError,
+         "points must be a nonempty (m, d) set of points, got shape (0, 2)"),
+        (lambda: PointSet(np.empty((2, 0))), DegenerateInputError,
+         "points must be a nonempty (m, d) set of points, got shape (2, 0)"),
+        (lambda: PointSet([[1.0, np.nan]]), InvalidArgumentError, "points must be finite"),
+        (lambda: _dataset([0.5, 1.7]), InvalidArgumentError,
+         "k must be integers in the int64 range, got 0.5"),
+        (lambda: _dataset([0, np.nan]), InvalidArgumentError,
+         "k must be integers in the int64 range, got nan"),
+        (lambda: _dataset([0, 1e300]), InvalidArgumentError,
+         "k must be integers in the int64 range, got 1e+300"),
+        (lambda: _dataset([[0], [1]]), InvalidArgumentError,
+         "k must be a scalar or 1-D, got shape (2, 1)"),
+        (lambda: _dataset(0), InvalidArgumentError, "record arrays must have equal length"),
+    ],
+    ids=[
+        "fractional-indices", "huge-index", "index-past-int64", "bool-indices", "text-indices",
+        "2d-indices", "empty-points", "zero-dim-points", "nan-point",
+        "fractional-k", "nan-k", "huge-k", "2d-k", "scalar-k",
+    ],
+)
+def test_bad_points_and_time_indices_raise_naming_the_field(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_time_indices_come_back_as_int64_values():
+    assert _dataset(np.array([3.0, -2.0])).k.tolist() == [3, -2]
+    assert _dataset(np.array([7, 8], dtype=np.uint8)).k.dtype == np.int64
+    indices = PointSet(_LINE2, indices=np.array([0, 2**63 - 1], dtype=np.uint64)).indices
+    assert indices.dtype == np.int64 and indices.tolist() == [0, 2**63 - 1]
+    # a PointSet holds points; a dataset's states are taken by the functions that take point sets
+    with pytest.raises(TypeError):
+        PointSet(_dataset([0, 1]))
 
 
 @pytest.mark.parametrize("convention", ["plain", "squared"])

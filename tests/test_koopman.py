@@ -643,6 +643,41 @@ def test_koopman_argument_errors(call, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "advanced, message",
+    [
+        (PointSet([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]], indices=[0, 1]),
+         "centers and advanced centers must share dimension"),
+        (PointSet([[0.0, 1.0], [1.0, 1.0]], indices=[5, 6]),
+         "centers and advanced centers must carry equal indices"),
+        (PointSet([[0.0, 1.0], [1.0, 1.0]]), "centers and advanced centers must carry equal indices"),
+        # the row count is checked first, whatever else differs
+        (PointSet([[0.0, 0.0, 1.0]], indices=[5]),
+         "centers, advanced centers and coefficient rows must agree"),
+    ],
+    ids=["dimension", "indices", "indices-and-none", "rows-first"],
+)
+def test_estimate_requires_paired_centers(advanced, message):
+    report = SolveReport(np.ones((2, 1)), 1.0, 1.0)
+    with pytest.raises(InvalidArgumentError) as err:
+        KoopmanEstimate(EstimateMode.PULLBACK, _TWO, advanced, report.coefficients, MATERN1, report)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("indices, written", [([5, 6], [5, 6]), (None, [0, 1])], ids=["indexed", "unindexed"])
+def test_hand_built_estimate_round_trips_its_paired_centers(tmp_path, indices, written):
+    centers = PointSet([[0.0, 0.0], [1.0, 0.0]], indices=indices)
+    advanced = PointSet([[0.5, 0.25], [1.5, 0.25]], indices=indices)
+    report = SolveReport(np.array([[1.0], [-2.0]]), 1.0, 1.0)
+    estimate = KoopmanEstimate(EstimateMode.PULLBACK, centers, advanced, report.coefficients, MATERN1, report)
+    path = tmp_path / "estimate.csv"
+    write_estimate_csv(path, estimate)
+    back = read_estimate_csv(path)
+    assert back.centers.indices.tolist() == back.advanced_centers.indices.tolist() == written
+    assert back.centers.points.tobytes() == centers.points.tobytes()
+    assert back.advanced_centers.points.tobytes() == advanced.points.tobytes()
+
+
 def _estimate_with_a_nan_coefficient(path):
     ds = simulate(PendulumConfig(steps=30))
     write_estimate_csv(path, fit_pullback(ds, subselect_centers(ds, 0.5), MATERN1))

@@ -264,6 +264,46 @@ def test_planar_frame_rejects_non_finite_and_wrong_width_markers(hip, message):
         _planar(hip, [0.0, -0.4], [0.0, -0.8])
 
 
+_LEG3 = ([0.0, 0.1, 0.0], [0.0, 0.1, -0.4], [0.0, 0.1, -0.8])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: MarkerFrame(0.5, *_LEG3), "t must be integers in the int64 range, got 0.5"),
+        (lambda: _planar([0.0, 0.0], [0.0, -0.4], [0.0, -0.8], t=np.nan),
+         "t must be integers in the int64 range, got nan"),
+        (lambda: MarkerFrame([0, 2.0**63], *([p, p] for p in _LEG3)),
+         "t must be integers in the int64 range, got 9.223372036854776e+18"),
+        (lambda: MarkerFrame([[0]], *([[p]] for p in _LEG3)), "t must be a scalar or 1-D, got shape (1, 1)"),
+    ],
+    ids=["fractional", "nan", "past-int64", "2d"],
+)
+def test_marker_frames_require_integer_frame_indices(make, message):
+    with pytest.raises(InvalidArgumentError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_marker_frame_stores_its_frame_indices_as_integers():
+    one = MarkerFrame(3.0, *_LEG3)
+    assert type(one.t) is int and one.t == 3
+    many = MarkerFrame(np.array([4.0, -5.0]), *([p, p] for p in _LEG3))
+    assert many.t.dtype == np.int64 and many.t.tolist() == [4, -5]
+
+
+@pytest.mark.parametrize("t", ["0.5", "1e300", "9223372036854775808"])
+def test_read_marker_csv_rejects_a_non_integer_frame_index_naming_the_file(tmp_path, t):
+    path = tmp_path / "markers.csv"
+    write_marker_csv(path, synthetic_gait_frames(n_frames=3, n_cycles=1))
+    header, first, *rest = path.read_text().splitlines(True)
+    path.write_text("".join([header, t + first[1:], *rest]))
+    with pytest.raises(CsvFormatError) as err:
+        read_marker_csv(path)
+    expected = f"t must be integers in the int64 range, got {float(t)!r}"
+    assert str(err.value) == f"{path}: bad integer frame index ({expected})"
+
+
 def test_extracted_record_has_one_column_entry_per_kept_frame():
     frames = synthetic_gait_frames(n_frames=30, n_cycles=1)
     frames.insert(10, MarkerFrame(t=99, hip=[0.0, 0.1, 0.0], knee=[0.0, 0.1, 0.0], ankle=[0.1, 0.1, 0.1]))

@@ -1,12 +1,13 @@
 """Property tests of the shared paths: kernel profiles, Gram assembly, batch predict,
-time-index lookup, the greedy center gate, interpolation exactness, the projected
-estimator against the least-squares operator, the CSV round trips and the joint-angle
-kernel."""
+time-index lookup, the integer rule for time indices, the greedy center gate,
+interpolation exactness, the projected estimator against the least-squares operator,
+the CSV round trips and the joint-angle kernel."""
 
 import math
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -18,6 +19,7 @@ from kernelkoop import (
     DegenerateInputError,
     DistanceConvention,
     EstimateMode,
+    InvalidArgumentError,
     KernelFamily,
     KernelSpec,
     KoopmanEstimate,
@@ -51,7 +53,7 @@ from kernelkoop.io import (
     write_rows_csv,
     write_trajectory_csv,
 )
-from kernelkoop.kernels import _profile
+from kernelkoop.kernels import _integers, _profile
 from kernelkoop.koopman import _rows_at_times
 
 # `gated_states` draws trajectories of up to max_blocks * _BLOCK + 17 states.
@@ -238,6 +240,73 @@ def test_time_index_lookup_matches_a_dict(k, data):
     lookup = {int(t): i for i, t in enumerate(k)}
     assert found.tolist() == [int(t) in lookup for t in times]
     assert rows[found].tolist() == [lookup[int(t)] for t in times if int(t) in lookup]
+
+
+_INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+_INT64_FLOATS = st.floats(-(2.0**63), 2.0**63, exclude_max=True).map(lambda v: float(np.floor(v)))
+
+
+@st.composite
+def index_arrays(draw):
+    """A scalar or 1-D array of int64-range values: any integer dtype, or integral floats."""
+    shape = draw(st.sampled_from([(), (0,), (1,), (7,)]))
+    dtype = draw(st.sampled_from(_INT_DTYPES + [np.float64, np.float32]))
+    if dtype in _INT_DTYPES:
+        info = np.iinfo(dtype)
+        elements = st.integers(int(info.min), min(int(info.max), 2**63 - 1))
+    elif dtype is np.float32:
+        elements = st.floats(-(2.0**63), 2.0**63, exclude_max=True, width=32).map(np.floor)
+    else:
+        elements = _INT64_FLOATS
+    return draw(arrays(dtype, shape, elements=elements))
+
+
+@FEW
+@given(index_arrays())
+def test_integer_rule_returns_every_int64_value_exactly(values):
+    out = _integers(values, "k")
+    assert out.dtype == np.int64 and out.shape == values.shape
+    assert np.reshape(out, -1).tolist() == [int(v) for v in np.reshape(values, -1).tolist()]
+
+
+_BAD_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 1e300, 2.0**63, -(2.0**64)]),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != math.floor(v)),
+    st.floats(2.0**63, 1e308),
+    st.floats(-1e308, -(2.0**63), exclude_max=True),
+)
+
+
+@st.composite
+def bad_index_arrays(draw):
+    """(values, first bad value): a float or uint64 array with one value that is not an
+    integer in the int64 range, or a bool or text array, whose every value is bad."""
+    kind = draw(st.sampled_from(["float", "uint64", "bool", "text"]))
+    n = draw(st.integers(1, 7))
+    if kind == "bool":
+        values = draw(arrays(np.bool_, n))
+        return values, values.tolist()[0]
+    if kind == "text":
+        values = np.array(draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)))
+        return values, values.tolist()[0]
+    if kind == "float":
+        values = draw(arrays(np.float64, n, elements=_INT64_FLOATS))
+        bad = draw(_BAD_FLOATS)
+    else:
+        values = draw(arrays(np.uint64, n, elements=st.integers(0, 2**63 - 1)))
+        bad = draw(st.integers(2**63, 2**64 - 1))
+    i = draw(st.integers(0, n - 1))
+    values[i] = bad
+    return values, values[i].item()
+
+
+@FEW
+@given(bad_index_arrays())
+def test_integer_rule_rejects_every_other_value_naming_the_first(case):
+    values, bad = case
+    with pytest.raises(InvalidArgumentError) as err:
+        _integers(values, "k")
+    assert str(err.value) == f"k must be integers in the int64 range, got {bad!r}"
 
 
 @st.composite
