@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import _MAX_ENTRIES, PointSet, _points, _time_indices
+from .kernels import PointSet, _points, _row_blocks, _time_indices
 
 # Halvings of the eta bracket in `eta_for_center_count` before it gives up.
 _BISECTIONS = 200
@@ -90,9 +90,7 @@ def fill_distance(centers, reference) -> float:
             f"dimension mismatch: centers {c.shape[1]}, reference {r.shape[1]}"
         )
     # a chunk of reference rows at a time; the max of row minima is the same
-    rows = max(1, _MAX_ENTRIES // c.shape[0])
-    fills = [cdist(r[lo:lo + rows], c).min(axis=1).max() for lo in range(0, r.shape[0], rows)]
-    return float(np.max(fills))
+    return float(max(cdist(r[blk], c).min(axis=1).max() for blk in _row_blocks(len(r), len(c))))
 
 
 def separation(centers) -> float:

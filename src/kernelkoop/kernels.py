@@ -32,9 +32,10 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from .errors import ConfigError, DegenerateInputError, InvalidArgumentError
 
 _SQRT3 = math.sqrt(3.0)
-# Cap on the entries of one distance or kernel temporary: 8 MiB of float64,
-# whatever the number of points.
-_MAX_ENTRIES = 1 << 20
+# Cap on the entries of one distance or kernel temporary: 1 MiB of float64,
+# whatever the number of points, so that a block's distances and the two
+# temporaries of its profile stay near a core's L2 cache.
+_MAX_ENTRIES = 1 << 17
 
 
 class KernelFamily(enum.Enum):
@@ -185,9 +186,11 @@ class TrajectoryDataset:
 
     def __post_init__(self) -> None:
         self.k = _integers(self.k, "k")
-        self.x = as_points(self.x)
-        self.x_next = as_points(self.x_next)
-        self.y_next = as_points(self.y_next)
+        for key in ("x", "x_next", "y_next"):
+            arr = as_points(getattr(self, key))
+            if arr.ndim != 2:
+                raise InvalidArgumentError(f"{key} must be 1-D or 2-D, got shape {arr.shape}")
+            setattr(self, key, arr)
         m = self.x.shape[0]
         if self.k.shape != (m,) or self.x_next.shape[0] != m or self.y_next.shape[0] != m:
             raise InvalidArgumentError("record arrays must have equal length")
@@ -229,20 +232,32 @@ def _integers(values, what: str) -> np.ndarray:
 
     An integral float is one; NaN, 0.5, 2**63, a bool or text is not, and
     raises InvalidArgumentError naming ``what`` and the first bad value.
+    A list is checked element by element, not as the array numpy would
+    make of it, which turns [0, True] into [0, 1] and [0, 2**63] into floats.
     """
-    arr = np.asarray(values)
+    typed = isinstance(values, (np.ndarray, np.generic))
+    arr = np.asarray(values) if typed else np.asarray(values, dtype=object)
     if arr.ndim > 1:
         raise InvalidArgumentError(f"{what} must be a scalar or 1-D, got shape {arr.shape}")
     if arr.dtype.kind in "iu":  # a uint64 past the int64 range wraps to a negative int64
         ok = arr == arr.astype(np.int64)
     elif arr.dtype.kind == "f":
         ok = (arr == np.floor(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63)
-    else:  # bools, text and objects: only Python ints pass
-        ok = np.vectorize(lambda v: type(v) is int and -(2**63) <= v < 2**63, otypes=[bool])(arr)
+    else:  # bools, text and the elements of a list
+        ok = np.vectorize(_is_int64, otypes=[bool])(arr)
     if not ok.all():
-        bad = arr[~ok].tolist()[0]
+        bad = arr[~ok][0]
+        bad = bad.item() if isinstance(bad, np.generic) else bad
         raise InvalidArgumentError(f"{what} must be integers in the int64 range, got {bad!r}")
     return arr.astype(np.int64, copy=False)
+
+
+def _is_int64(v) -> bool:
+    """Whether one value is an integer, or an integral float, in the int64 range; no bool is."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    # v == v first: an ordered comparison with NaN would raise the invalid flag
+    return v == v and -(2**63) <= v < 2**63 and v == int(v)
 
 
 def _time_indices(obj) -> np.ndarray:
@@ -265,6 +280,15 @@ def _points(obj, what: str) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise InvalidArgumentError(f"{what} must be finite")
     return pts
+
+
+def _row_blocks(m: int, cols: int) -> list[slice]:
+    """Row blocks of an (m, cols) array: 8k rows, at most ``_MAX_ENTRIES`` entries unless k = 1.
+
+    m = 0 gives one empty slice, so a loop over the blocks still makes one call.
+    """
+    rows = max(8, _MAX_ENTRIES // cols // 8 * 8)
+    return [slice(s, s + rows) for s in range(0, max(m, 1), rows)]
 
 
 def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
@@ -319,6 +343,10 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     distinct (the matrix would be singular otherwise).  Any other pair is
     assembled as a cross matrix, even when the two hold equal points.
     Every coordinate must be finite.
+
+    Both are assembled in blocks of at most ``_MAX_ENTRIES`` distances, so
+    the memory beside the output does not grow with the number of points;
+    distances and profile are elementwise, so the blocks change no bit.
     """
     gram = B is A
     pa = _points(A, "kernel points")
@@ -328,10 +356,16 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}"
         )
     if not gram:
-        return _profile(spec, cdist(pa, pb))
+        out = np.empty((pa.shape[0], pb.shape[0]))
+        for blk in _row_blocks(*out.shape):
+            cdist(pa[blk], pb, out=out[blk])
+            out[blk] = _profile(spec, out[blk])
+        return out
     dist = pdist(pa)
     if dist.size and float(dist.min()) == 0.0:
         raise DegenerateInputError("kernel centers must be pairwise distinct")
-    K = squareform(_profile(spec, dist))
+    for blk in _row_blocks(dist.size, 1):
+        dist[blk] = _profile(spec, dist[blk])
+    K = squareform(dist)
     np.fill_diagonal(K, _profile(spec, np.float64(0.0)))
     return K

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import _MAX_ENTRIES, KernelSpec, PointSet, TrajectoryDataset, as_points, kernel_matrix
+from .kernels import KernelSpec, PointSet, TrajectoryDataset, _row_blocks, as_points, kernel_matrix
 from .linsys import SolveReport, solve_spd
 
 
@@ -168,13 +168,14 @@ def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
     A 1-D input returns the output vector; an (m, d) batch returns (m, n).
     PULLBACK estimates expect the advanced state as the query point.
 
-    The queries go through in blocks of rows whose kernel matrix holds at
-    most ``_MAX_ENTRIES`` entries, so the extra memory does not grow with
-    m.  A query set that fits in one block is one call of
-    ``kernel_matrix(kernel, x, centers) @ alpha``.  Blocks are a multiple
-    of 8 rows long, which keeps BLAS's grouping of rows wherever the block
-    calls and the one-shot call split the rows alike; the result then has
-    the one-shot bits, and otherwise agrees with them to within rounding.
+    The queries go through in the row blocks of ``kernels._row_blocks``,
+    whose kernel matrices hold at most ``_MAX_ENTRIES`` entries, so the
+    extra memory does not grow with m.  A query set that fits in one block
+    is one call of ``kernel_matrix(kernel, x, centers) @ alpha``.  Blocks
+    are a multiple of 8 rows long, which keeps BLAS's grouping of rows
+    wherever the block calls and the one-shot call split the rows alike;
+    the result then has the one-shot bits, and otherwise agrees with them
+    to within rounding.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
@@ -188,13 +189,10 @@ def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
         raise InvalidArgumentError(
             f"query dimension {pts.shape[1]} does not match centers ({base.dim})"
         )
-    m = pts.shape[0]
-    rows = max(8, _MAX_ENTRIES // len(base) // 8 * 8)
-    out = np.empty((m, estimate.output_dim))
+    out = np.empty((pts.shape[0], estimate.output_dim))
     # an empty query set still makes one call, which rejects it
-    for s in range(0, max(m, 1), rows):
-        block = pts[s:s + rows]
-        out[s:s + rows] = kernel_matrix(estimate.kernel, block, base.points) @ estimate.alpha
+    for blk in _row_blocks(pts.shape[0], len(base)):
+        out[blk] = kernel_matrix(estimate.kernel, pts[blk], base.points) @ estimate.alpha
     return out[0] if single else out
 
 

@@ -19,6 +19,7 @@ from kernelkoop import (
     simulate,
     subselect_centers,
 )
+from kernelkoop.kernels import _MAX_ENTRIES, _row_blocks
 
 MiB = 2**20
 
@@ -186,6 +187,16 @@ def test_fill_distance_is_exact_and_chunked():
     fill, peak = _peak_bytes(fill_distance, centers, reference)
     assert fill == cdist(reference, centers).min(axis=1).max()
     assert peak < 16 * MiB
+
+
+def test_fill_distance_has_the_bits_of_one_cdist_at_block_edges():
+    rng = np.random.default_rng(22)
+    centers = rng.normal(size=(600, 2))
+    rows = _row_blocks(_MAX_ENTRIES, len(centers))[0].stop
+    for count in (1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1):
+        reference = rng.normal(size=(count, 2))
+        expected = cdist(reference, centers).min(axis=1).max()
+        assert fill_distance(centers, reference).hex() == expected.hex(), count
 
 
 _EMPTY = np.empty((0, 2))

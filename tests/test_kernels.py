@@ -1,11 +1,12 @@
 import ast
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import kernelkoop
 from kernelkoop import (
@@ -26,7 +27,7 @@ from kernelkoop import (
     predict,
     simulate,
 )
-from kernelkoop.kernels import _profile
+from kernelkoop.kernels import _MAX_ENTRIES, _profile, _row_blocks
 
 ALL_FAMILIES = [
     KernelSpec("matern_sobolev32", beta=1.0),
@@ -313,11 +314,26 @@ def _dataset(k):
         (lambda: _dataset([[0], [1]]), InvalidArgumentError,
          "k must be a scalar or 1-D, got shape (2, 1)"),
         (lambda: _dataset(0), InvalidArgumentError, "record arrays must have equal length"),
+        # a list is checked element by element, not as the array numpy makes of it
+        (lambda: PointSet(_LINE2, indices=[0, True]), InvalidArgumentError,
+         "indices must be integers in the int64 range, got True"),
+        (lambda: PointSet(_LINE2, indices=[0, 2**63]), InvalidArgumentError,
+         "indices must be integers in the int64 range, got 9223372036854775808"),
+        (lambda: PointSet(_LINE2, indices=[[0], [1, 2]]), InvalidArgumentError,
+         "indices must be integers in the int64 range, got [0]"),
+        (lambda: PointSet(_LINE2, indices=[np.float64(0.5), 1]), InvalidArgumentError,
+         "indices must be integers in the int64 range, got 0.5"),
+        (lambda: TrajectoryDataset(k=[0], x=1.0, x_next=1.0, y_next=1.0), InvalidArgumentError,
+         "x must be 1-D or 2-D, got shape ()"),
+        (lambda: TrajectoryDataset(k=[0], x=[1.0], x_next=[1.0], y_next=np.ones((1, 1, 1))),
+         InvalidArgumentError, "y_next must be 1-D or 2-D, got shape (1, 1, 1)"),
     ],
     ids=[
         "fractional-indices", "huge-index", "index-past-int64", "bool-indices", "text-indices",
         "2d-indices", "empty-points", "zero-dim-points", "nan-point",
         "fractional-k", "nan-k", "huge-k", "2d-k", "scalar-k",
+        "bool-in-index-list", "index-list-past-int64", "ragged-indices", "numpy-float-in-list",
+        "scalar-states", "3d-outputs",
     ],
 )
 def test_bad_points_and_time_indices_raise_naming_the_field(make, error, message):
@@ -331,6 +347,10 @@ def test_time_indices_come_back_as_int64_values():
     assert _dataset(np.array([7, 8], dtype=np.uint8)).k.dtype == np.int64
     indices = PointSet(_LINE2, indices=np.array([0, 2**63 - 1], dtype=np.uint64)).indices
     assert indices.dtype == np.int64 and indices.tolist() == [0, 2**63 - 1]
+    # integral floats and numpy scalars inside a list are integers too, as in an array
+    indices = PointSet([[0.0], [1.0], [2.0]], indices=[3.0, np.int64(-2), np.uint8(7)]).indices
+    assert indices.dtype == np.int64 and indices.tolist() == [3, -2, 7]
+    assert _dataset(range(5, 7)).k.tolist() == [5, 6]
     # a PointSet holds points; a dataset's states are taken by the functions that take point sets
     with pytest.raises(TypeError):
         PointSet(_dataset([0, 1]))
@@ -431,3 +451,81 @@ def test_wendland_overflowed_scaled_distance_gives_zero(family):
     estimate = KoopmanEstimate(EstimateMode.PULLBACK, centers, centers, report.coefficients, spec, report)
     queries = np.array([[0.0, 0.0], [0.25, 0.0], [3.0, 0.0]])
     assert predict(estimate, queries).tolist() == [[1.0], [0.0], [0.0]]
+
+
+# the four families and the squared-distance Matern
+_BLOCK_SPECS = ALL_FAMILIES + [KernelSpec("matern", beta=0.7, distance_convention="squared")]
+
+
+def _block_id(spec):
+    return f"{spec.label}-{spec.distance_convention.value}"
+
+
+def test_row_blocks_cover_the_rows_in_multiples_of_8_of_at_most_the_cap():
+    for m, cols in [(0, 5), (1, 5), (1000, 1), (10**5, 37), (5000, 1954), (40, 3 * _MAX_ENTRIES)]:
+        blocks = _row_blocks(m, cols)
+        rows = blocks[0].stop
+        assert rows % 8 == 0 and (rows * cols <= _MAX_ENTRIES or rows == 8), (m, cols)
+        assert [(b.start, b.stop) for b in blocks] == [
+            (s, s + rows) for s in range(0, max(m, 1), rows)
+        ]
+    assert _row_blocks(10**5, 1954)[0].stop == 64
+
+
+@pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_block_id)
+def test_blocked_cross_matrix_has_the_bits_of_one_cdist_and_profile(spec):
+    rng = np.random.default_rng(5)
+    B = rng.uniform(-1.0, 1.0, size=(700, 2))
+    rows = _row_blocks(_MAX_ENTRIES, len(B))[0].stop
+    for count in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1):
+        A = rng.uniform(-1.0, 1.0, size=(count, 2))
+        got = kernel_matrix(spec, A, B)
+        assert got.tobytes() == _profile(spec, cdist(A, B)).tobytes(), count
+        # the sections of B at A: the transposed assembly, blocked along B
+        assert kernel_matrix(spec, B, A).tobytes() == _profile(spec, cdist(B, A)).tobytes(), count
+
+
+@pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_block_id)
+def test_chunked_gram_has_the_bits_of_one_profile_of_pdist(spec):
+    # M = 513 has 131328 distinct pairs, one chunk of 2^17 and a short one
+    points = np.random.default_rng(6).uniform(-1.0, 1.0, size=(513, 2))
+    dist = pdist(points)
+    assert len(_row_blocks(dist.size, 1)) == 2
+    expected = squareform(_profile(spec, dist))
+    np.fill_diagonal(expected, _profile(spec, np.float64(0.0)))
+    assert kernel_matrix(spec, points, points).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_block_id)
+def test_cross_matrix_memory_beside_its_output_does_not_grow_with_the_rows(spec):
+    # assembled unblocked, a 2e4 x 200 matrix needs 60-160 MiB of temporaries beside it
+    rng = np.random.default_rng(8)
+    B = rng.uniform(-1.0, 1.0, size=(200, 2))
+    for m in (2_000, 20_000):
+        A = rng.uniform(-1.0, 1.0, size=(m, 2))
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(spec, A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - K.nbytes < 8 * _MAX_ENTRIES * 8, m
+
+
+def test_only_kernels_sizes_the_blocks():
+    # one block rule, kernels._row_blocks: no other module reads the cap or writes a block
+    # formula of its own, a max(...) over a floor division or a range(...) with a step
+    for path in sorted(Path(kernelkoop.__file__).parent.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        for node in ast.walk(tree):
+            assert "_MAX_ENTRIES" not in (
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+            ), path.name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert not (node.func.id == "range" and len(node.args) == 3), (path.name, node.lineno)
+                assert not (node.func.id == "max" and any(
+                    isinstance(n, ast.BinOp) and isinstance(n.op, ast.FloorDiv)
+                    for arg in node.args for n in ast.walk(arg)
+                )), (path.name, node.lineno)
