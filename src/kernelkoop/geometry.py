@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import PointSet, _points, _row_blocks, _time_indices
+from .kernels import PointSet, _far, _integers, _nearest, _pairwise, _points, _time_indices
 
 # Halvings of the eta bracket in `eta_for_center_count` before it gives up.
 _BISECTIONS = 200
+
+
+def _eta(value) -> float:
+    """A gate value as a float: a real number, not a bool, and > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"eta must be a real number, got {value!r}")
+    if not value > 0:
+        raise InvalidArgumentError(f"eta must be > 0, got {value}")
+    return float(value)
 
 
 def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = None) -> PointSet:
@@ -26,17 +35,19 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
     center sets); seeded points are returned first, in their given order.
 
     Each seed rules out every state within ``eta`` of it, and each kept
-    state the later ones; every distance is computed by
-    ``scipy.spatial.distance.cdist``.
+    state the later ones; both ask the distance query ``kernels._far``.
     """
-    if not eta > 0:
-        raise InvalidArgumentError(f"eta must be > 0, got {eta}")
+    eta = _eta(eta)
     states = _points(trajectory, "trajectory")
     indices = _time_indices(trajectory)
 
     points, kept = [], []
     alive = np.ones(states.shape[0], dtype=bool)
     if seed_centers is not None:
+        if not isinstance(seed_centers, PointSet):
+            raise InvalidArgumentError(
+                f"seed centers must be a PointSet, got {type(seed_centers).__name__}"
+            )
         if seed_centers.dim != states.shape[1]:
             raise InvalidArgumentError(
                 f"seed centers have dimension {seed_centers.dim}, trajectory {states.shape[1]}"
@@ -45,14 +56,14 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
             raise InvalidArgumentError("seed centers must carry trajectory indices")
         points, kept = [seed_centers.points], [seed_centers.indices]
         for seed in seed_centers.points:
-            alive &= cdist(seed[None], states)[0] > eta
+            alive &= _far(seed, states, eta)
 
     rows = []
     i = 0
     while alive[i:].any():
         i += int(alive[i:].argmax())
         rows.append(i)
-        alive[i + 1:] &= cdist(states[i:i + 1], states[i + 1:])[0] > eta
+        alive[i + 1:] &= _far(states[i], states[i + 1:], eta)
         i += 1
     return PointSet(
         np.concatenate(points + [states[rows]]),
@@ -66,7 +77,7 @@ def nested_center_sets(trajectory, etas: Sequence[float]) -> list[PointSet]:
     Each level reuses the previous level's centers as seeds, so the sets
     are nested and their fill distances decrease with the schedule.
     """
-    etas = [float(e) for e in etas]
+    etas = [_eta(e) for e in etas]
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise InvalidArgumentError("eta schedule must be strictly decreasing")
     sets: list[PointSet] = []
@@ -89,8 +100,7 @@ def fill_distance(centers, reference) -> float:
         raise InvalidArgumentError(
             f"dimension mismatch: centers {c.shape[1]}, reference {r.shape[1]}"
         )
-    # a chunk of reference rows at a time; the max of row minima is the same
-    return float(max(cdist(r[blk], c).min(axis=1).max() for blk in _row_blocks(len(r), len(c))))
+    return float(_nearest(r, c).max())
 
 
 def separation(centers) -> float:
@@ -98,10 +108,7 @@ def separation(centers) -> float:
     c = _points(centers, "centers")
     if c.shape[0] < 2:
         raise DegenerateInputError("separation needs at least 2 centers")
-    dmin = float(pdist(c).min())
-    if dmin == 0.0:
-        raise DegenerateInputError("separation is undefined for duplicate centers")
-    return 0.5 * dmin
+    return 0.5 * float(_pairwise(c, "centers").min())
 
 
 def eta_for_center_count(trajectory, count: int) -> float:
@@ -113,7 +120,8 @@ def eta_for_center_count(trajectory, count: int) -> float:
     """
     states = _points(trajectory, "trajectory")
     m = states.shape[0]
-    if not 1 <= count <= m:
+    count = _integers(count, "count")
+    if count.ndim or not 1 <= count <= m:
         raise InvalidArgumentError(f"count must be in [1, {m}], got {count}")
 
     def kept(eta: float) -> int:

@@ -1,4 +1,4 @@
-"""Strictly positive-definite kernel families and kernel-matrix assembly.
+"""Strictly positive-definite kernel families, kernel-matrix assembly and distance queries.
 
 Two families are provided, both radial in the Euclidean distance
 ``r = ||x - y||_2``:
@@ -152,8 +152,9 @@ class PointSet:
     indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        # as_points refuses a dataset, which _points alone would take for its states
-        self.points = _points(as_points(self.points), "points")
+        if isinstance(self.points, TrajectoryDataset):  # _points would take its states
+            raise TypeError("a PointSet holds points, not a TrajectoryDataset")
+        self.points = _points(self.points, "points")
         if self.indices is not None:
             self.indices = _integers(self.indices, "indices")
             if self.indices.shape != (len(self),):
@@ -187,7 +188,7 @@ class TrajectoryDataset:
     def __post_init__(self) -> None:
         self.k = _integers(self.k, "k")
         for key in ("x", "x_next", "y_next"):
-            arr = as_points(getattr(self, key))
+            arr = as_points(getattr(self, key), key)
             if arr.ndim != 2:
                 raise InvalidArgumentError(f"{key} must be 1-D or 2-D, got shape {arr.shape}")
             setattr(self, key, arr)
@@ -215,15 +216,20 @@ class TrajectoryDataset:
         return self.y_next.shape[1]
 
 
-def as_points(obj) -> np.ndarray:
+def as_points(obj, what: str = "points") -> np.ndarray:
     """The points of a PointSet or array-like as a float array.
 
     A 1-D input of length M is M points on the real line, shape (M, 1);
-    other shapes are returned as given for the caller to validate.
+    other shapes are returned as given for the caller to validate.  An
+    input numpy cannot make a float array of (ragged, text, complex)
+    raises InvalidArgumentError naming ``what``.
     """
     if isinstance(obj, PointSet):
         return obj.points
-    pts = np.asarray(obj, dtype=float)
+    try:
+        pts = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{what} must be a rectangular array of real numbers") from None
     return pts[:, None] if pts.ndim == 1 else pts
 
 
@@ -272,7 +278,7 @@ def _points(obj, what: str) -> np.ndarray:
     """The points ``what`` of a dataset (its states), PointSet or array: nonempty (m, d), finite."""
     if isinstance(obj, TrajectoryDataset):
         obj = obj.x
-    pts = as_points(obj)
+    pts = as_points(obj, what)
     if pts.ndim != 2 or 0 in pts.shape:
         raise DegenerateInputError(
             f"{what} must be a nonempty (m, d) set of points, got shape {np.shape(obj)}"
@@ -289,6 +295,25 @@ def _row_blocks(m: int, cols: int) -> list[slice]:
     """
     rows = max(8, _MAX_ENTRIES // cols // 8 * 8)
     return [slice(s, s + rows) for s in range(0, max(m, 1), rows)]
+
+
+def _far(point: np.ndarray, states: np.ndarray, eta: float) -> np.ndarray:
+    """The mask of the ``states`` more than ``eta`` from ``point``, a (d,) array."""
+    return cdist(point[None], states)[0] > eta
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each point's distance to its nearest center, one row block of points at a time."""
+    blocks = _row_blocks(len(points), len(centers))
+    return np.concatenate([cdist(points[blk], centers).min(axis=1) for blk in blocks])
+
+
+def _pairwise(points: np.ndarray, what: str) -> np.ndarray:
+    """The condensed pairwise distances of ``points``; a zero among them raises."""
+    dist = pdist(points)
+    if dist.size and float(dist.min()) == 0.0:
+        raise DegenerateInputError(f"{what} must be pairwise distinct")
+    return dist
 
 
 def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
@@ -361,9 +386,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
             cdist(pa[blk], pb, out=out[blk])
             out[blk] = _profile(spec, out[blk])
         return out
-    dist = pdist(pa)
-    if dist.size and float(dist.min()) == 0.0:
-        raise DegenerateInputError("kernel centers must be pairwise distinct")
+    dist = _pairwise(pa, "kernel centers")
     for blk in _row_blocks(dist.size, 1):
         dist[blk] = _profile(spec, dist[blk])
     K = squareform(dist)

@@ -46,7 +46,7 @@ class KoopmanEstimate:
     diagnostics: SolveReport
 
     def __post_init__(self) -> None:
-        self.alpha = as_points(self.alpha)
+        self.alpha = as_points(self.alpha, "alpha")
         m = len(self.centers)
         if len(self.advanced_centers) != m or self.alpha.shape[0] != m:
             raise InvalidArgumentError(
@@ -147,7 +147,7 @@ def fit_umf(
     by default, ``"exact"`` for the spectrum), so a fit computes at most
     one eigendecomposition.
     """
-    g = as_points(g_at_centers)
+    g = as_points(g_at_centers, "g_at_centers")
     if g.shape[0] != len(centers):
         raise InvalidArgumentError(
             f"g_at_centers must have {len(centers)} rows, got {g.shape[0]}"

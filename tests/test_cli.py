@@ -386,6 +386,19 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, command, s
     assert not out.exists()
 
 
+def test_fit_with_one_center_writes_a_nan_separation(tmp_path, capsys):
+    # eta above the trajectory's diameter keeps one center, whose separation is undefined
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[fit]\neta = 4\n")
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "fit"]) == 0
+    _, header, rows = _read_table(tmp_path / "fit_diagnostics.csv")
+    assert len(rows) == 1
+    assert rows[0][header.index("M")] == "1"
+    assert rows[0][header.index("separation")] == "nan"
+    assert capsys.readouterr().err == ""
+
+
 def test_fit_nan_output_is_a_numerical_failure(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "simulate"]) == 0
     path = tmp_path / "trajectory.csv"

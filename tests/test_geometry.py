@@ -19,6 +19,7 @@ from kernelkoop import (
     simulate,
     subselect_centers,
 )
+from kernelkoop import geometry
 from kernelkoop.kernels import _MAX_ENTRIES, _row_blocks
 
 MiB = 2**20
@@ -260,13 +261,55 @@ def test_unusable_points_name_the_argument_and_its_shape(call, what, shape):
             DegenerateInputError,
             "trajectory has repeated states; cannot reach 3 centers",
         ),
+        (lambda: subselect_centers(_LINE, [1.0]), InvalidArgumentError,
+         "eta must be a real number, got [1.0]"),
+        (lambda: subselect_centers(_LINE, "0.1"), InvalidArgumentError,
+         "eta must be a real number, got '0.1'"),
+        (lambda: subselect_centers(_LINE, True), InvalidArgumentError,
+         "eta must be a real number, got True"),
+        (lambda: subselect_centers(_LINE, 0.1, seed_centers=_LINE), InvalidArgumentError,
+         "seed centers must be a PointSet, got ndarray"),
+        (lambda: nested_center_sets(_LINE, ["a"]), InvalidArgumentError,
+         "eta must be a real number, got 'a'"),
+        (lambda: nested_center_sets(_LINE, [1.0, -0.5]), InvalidArgumentError,
+         "eta must be > 0, got -0.5"),
+        (lambda: eta_for_center_count(_LINE, "3"), InvalidArgumentError,
+         "count must be integers in the int64 range, got '3'"),
+        (lambda: eta_for_center_count(_LINE, 2.5), InvalidArgumentError,
+         "count must be integers in the int64 range, got 2.5"),
     ],
-    ids=["seed-dimension", "seed-without-indices", "fill-dimension", "count-range", "repeated"],
+    ids=[
+        "seed-dimension", "seed-without-indices", "fill-dimension", "count-range", "repeated",
+        "list-eta", "text-eta", "bool-eta", "array-seed", "text-eta-in-schedule",
+        "negative-eta-in-schedule", "text-count", "fractional-count",
+    ],
 )
 def test_geometry_argument_errors(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: subselect_centers(_LINE, [1.0]),
+        lambda: subselect_centers(_LINE, 0.1, seed_centers=_LINE),
+        lambda: nested_center_sets(_LINE, [1.0, "a"]),
+        lambda: nested_center_sets(_LINE, [1.0, -0.5]),
+        lambda: eta_for_center_count(_LINE, 2.5),
+    ],
+    ids=["list-eta", "array-seed", "text-eta-in-schedule", "negative-eta-in-schedule",
+         "fractional-count"],
+)
+def test_bad_geometry_arguments_fail_before_any_distance(call, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a distance was computed")
+
+    for name in ("_far", "_nearest", "_pairwise"):
+        monkeypatch.setattr(geometry, name, refuse)
+    with pytest.raises(InvalidArgumentError):
+        call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -23,6 +23,7 @@ from kernelkoop import (
     SolveReport,
     TrajectoryDataset,
     eval_kernel,
+    fill_distance,
     kernel_matrix,
     predict,
     simulate,
@@ -327,6 +328,17 @@ def _dataset(k):
          "x must be 1-D or 2-D, got shape ()"),
         (lambda: TrajectoryDataset(k=[0], x=[1.0], x_next=[1.0], y_next=np.ones((1, 1, 1))),
          InvalidArgumentError, "y_next must be 1-D or 2-D, got shape (1, 1, 1)"),
+        # a point list numpy cannot make a float array of names its field
+        (lambda: PointSet([[0.0], [1.0, 2.0]]), InvalidArgumentError,
+         "points must be a rectangular array of real numbers"),
+        (lambda: fill_distance([[0.0], [1.0, 2.0]], _LINE2), InvalidArgumentError,
+         "centers must be a rectangular array of real numbers"),
+        (lambda: kernel_matrix(KernelSpec("matern"), [["a", "b"]], [[0.0, 1.0]]),
+         InvalidArgumentError, "kernel points must be a rectangular array of real numbers"),
+        (lambda: PointSet([1 + 2j, 0.0]), InvalidArgumentError,
+         "points must be a rectangular array of real numbers"),
+        (lambda: TrajectoryDataset(k=[0], x=[["a"]], x_next=[[1.0]], y_next=[1.0]),
+         InvalidArgumentError, "x must be a rectangular array of real numbers"),
     ],
     ids=[
         "fractional-indices", "huge-index", "index-past-int64", "bool-indices", "text-indices",
@@ -334,6 +346,7 @@ def _dataset(k):
         "fractional-k", "nan-k", "huge-k", "2d-k", "scalar-k",
         "bool-in-index-list", "index-list-past-int64", "ragged-indices", "numpy-float-in-list",
         "scalar-states", "3d-outputs",
+        "ragged-points", "ragged-centers", "text-kernel-points", "complex-points", "text-states",
     ],
 )
 def test_bad_points_and_time_indices_raise_naming_the_field(make, error, message):
@@ -510,6 +523,33 @@ def test_cross_matrix_memory_beside_its_output_does_not_grow_with_the_rows(spec)
         finally:
             tracemalloc.stop()
         assert peak - K.nbytes < 8 * _MAX_ENTRIES * 8, m
+
+
+def _imported(node) -> list[str]:
+    """The dotted names an import statement brings in, each with its module."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_only_kernels_computes_distances():
+    # one distance owner: kernels imports scipy.spatial at one place, and no other module
+    # names a scipy distance function; geometry imports nothing from scipy at all
+    spatial = []
+    for path in sorted(Path(kernelkoop.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            names = _imported(node)
+            if any(name.startswith("scipy.spatial") for name in names):
+                spatial.append(path.name)
+            if path.name == "geometry.py":
+                assert not any(name.startswith("scipy") for name in names), node.lineno
+            if path.name != "kernels.py":
+                assert not {"cdist", "pdist", "squareform"} & {
+                    getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+                }, (path.name, getattr(node, "lineno", None))
+    assert spatial == ["kernels.py"]
 
 
 def test_only_kernels_sizes_the_blocks():
