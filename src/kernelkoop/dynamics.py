@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import TrajectoryDataset
+from .kernels import TrajectoryDataset, _floats
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def pendulum_step(x1: float, x2: float, h: float) -> tuple[float, float]:
 
 def observable_G(x) -> float | np.ndarray:
     """Synthetic observable 1.5 - sin(x2) + x1^2/9; accepts one state or a batch."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape[-1] != 2:
+    arr = _floats(x, "state")
+    if arr.shape[-1:] != (2,):
         raise InvalidArgumentError(f"state must be 2-dimensional, got shape {arr.shape}")
     val = 1.5 - np.sin(arr[..., 1]) + arr[..., 0] ** 2 / 9.0
     return float(val) if arr.ndim == 1 else val

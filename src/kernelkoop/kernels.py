@@ -221,16 +221,27 @@ def as_points(obj, what: str = "points") -> np.ndarray:
 
     A 1-D input of length M is M points on the real line, shape (M, 1);
     other shapes are returned as given for the caller to validate.  An
-    input numpy cannot make a float array of (ragged, text, complex)
+    input that is not an array of real numbers (ragged, text, complex)
     raises InvalidArgumentError naming ``what``.
     """
     if isinstance(obj, PointSet):
         return obj.points
-    try:
-        pts = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"{what} must be a rectangular array of real numbers") from None
+    pts = _floats(obj, what)
     return pts[:, None] if pts.ndim == 1 else pts
+
+
+def _floats(obj, what: str) -> np.ndarray:
+    """``obj`` as a float array, not copied if it is one; ragged, text or complex input raises.
+
+    Complex input is refused, not cast with its imaginary part dropped.
+    """
+    try:
+        arr = np.asarray(obj)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidArgumentError(f"{what} must be a rectangular array of real numbers")
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -316,21 +327,26 @@ def _pairwise(points: np.ndarray, what: str) -> np.ndarray:
     return dist
 
 
-def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+def _profile(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the radial profile on an array of Euclidean distances.
 
     The Wendland polynomials are evaluated only inside the support, d < 1
     (NaN counts as inside, so it propagates); every other entry is 0.0,
     which is what the truncated polynomial gives there.
+
+    The values go to ``out`` (r's shape, and it may be r itself), which is
+    returned; without it they go to a new array, and r is left as it is.
     """
+    if out is None:
+        out = np.empty(np.shape(r))
     if spec.family is KernelFamily.MATERN_SOBOLEV_32:
-        arg = r if spec.distance_convention is DistanceConvention.PLAIN else r * r
-        # an array also for the diagonal's 0-d distance, so the steps below work in place;
+        plain = spec.distance_convention is DistanceConvention.PLAIN
+        # e an array also for the diagonal's 0-d distance, so the steps below work in place;
         # exp(-s) is 0.0 from s = 745.14 on, so clamping s at 746 keeps the bits of every
-        # finite s and gives 0.0 where the distance or the product overflowed to inf
+        # finite s and gives 0.0 where the distance, its square or the product overflowed
         scale = min(_SQRT3 / spec.beta, np.finfo(float).max)  # finite: s = 0, not NaN, at r = 0
         with np.errstate(over="ignore"):
-            s = np.multiply(scale, arg, out=np.empty(np.shape(arg)))
+            s = np.multiply(scale, r if plain else np.multiply(r, r, out=out), out=out)
         e = np.negative(np.minimum(s, 746.0, out=s), out=np.empty_like(s))
         np.exp(e, out=e)
         s += 1.0
@@ -339,7 +355,7 @@ def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     # a distance that overflows to inf is outside the support, so it gives 0.0 unwarned
     with np.errstate(over="ignore"):
         d = r / spec.support_scale
-    out = np.zeros_like(d)
+    out[...] = 0.0
     inside = ~(d >= 1.0)
     d = d[inside]
     t = 1.0 - d
@@ -354,8 +370,8 @@ def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """Evaluate K(x, y) for two points of equal dimension, as a 1x1 cross matrix."""
-    xv = np.asarray(x, dtype=float).ravel()
-    yv = np.asarray(y, dtype=float).ravel()
+    xv = as_points(x, "kernel points").ravel()
+    yv = as_points(y, "kernel points").ravel()
     return float(kernel_matrix(spec, xv[None, :], yv[None, :])[0, 0])
 
 
@@ -384,11 +400,11 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
         out = np.empty((pa.shape[0], pb.shape[0]))
         for blk in _row_blocks(*out.shape):
             cdist(pa[blk], pb, out=out[blk])
-            out[blk] = _profile(spec, out[blk])
+            _profile(spec, out[blk], out=out[blk])
         return out
     dist = _pairwise(pa, "kernel centers")
     for blk in _row_blocks(dist.size, 1):
-        dist[blk] = _profile(spec, dist[blk])
+        _profile(spec, dist[blk], out=dist[blk])
     K = squareform(dist)
     np.fill_diagonal(K, _profile(spec, np.float64(0.0)))
     return K

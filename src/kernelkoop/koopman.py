@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import KernelSpec, PointSet, TrajectoryDataset, _row_blocks, as_points, kernel_matrix
+from .kernels import (
+    KernelSpec, PointSet, TrajectoryDataset, _floats, _row_blocks, as_points, kernel_matrix
+)
 from .linsys import SolveReport, solve_spd
 
 
@@ -146,6 +148,10 @@ def fit_umf(
     second in the mode ``diagnostics`` (as in ``fit_pullback``: ``"off"``
     by default, ``"exact"`` for the spectrum), so a fit computes at most
     one eigendecomposition.
+
+    Memory: K lives through the fit, and beside it at most one more
+    M x M array at a time, C or a solve's Cholesky factor (with
+    ``"off"``), so the peak is about 2 K.
     """
     g = as_points(g_at_centers, "g_at_centers")
     if g.shape[0] != len(centers):
@@ -155,8 +161,8 @@ def fit_umf(
     advanced, _ = _advance(dataset, centers)
     K = kernel_matrix(kernel, centers, centers)
     first = solve_spd(K, g, jitter_policy, "off")
-    C = kernel_matrix(kernel, centers, advanced)
-    report = solve_spd(K, C.T @ first.coefficients, jitter_policy, diagnostics)
+    rhs = kernel_matrix(kernel, centers, advanced).T @ first.coefficients  # C is freed here
+    report = solve_spd(K, rhs, jitter_policy, diagnostics)
     return KoopmanEstimate(
         EstimateMode.PROJECTED, centers, advanced, report.coefficients, kernel, report
     )
@@ -198,10 +204,14 @@ def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
 
 def empirical_risk(targets, predictions) -> float:
     """Mean squared Euclidean output error over a sample batch."""
-    t = np.asarray(targets, dtype=float)
-    p = np.asarray(predictions, dtype=float)
+    t = _floats(targets, "targets")
+    p = _floats(predictions, "predictions")
     if t.shape != p.shape:
         raise InvalidArgumentError(f"shape mismatch: {t.shape} vs {p.shape}")
+    if t.ndim not in (1, 2):
+        raise InvalidArgumentError(f"samples must be 1-D or 2-D, got shape {t.shape}")
+    if not (np.isfinite(t).all() and np.isfinite(p).all()):
+        raise InvalidArgumentError("targets and predictions must be finite")
     if t.size == 0:
         raise DegenerateInputError("empirical risk of an empty sample list")
     if t.ndim == 1:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
+from .kernels import _floats, _row_blocks
 
 _SYMMETRY_RTOL = 1e-10
 _AUTO_JITTER_STEPS = (1e-12, 1e-10, 1e-8)
@@ -45,14 +46,25 @@ class SpectralDiagnostics(NamedTuple):
 
 
 def _check_symmetric(K) -> np.ndarray:
-    K = np.asarray(K, dtype=float)
+    """K as a float array, checked square, nonempty, finite and symmetric to ``_SYMMETRY_RTOL``.
+
+    K is read one row panel of ``_row_blocks`` at a time; a panel's part
+    right of the diagonal is compared with the column panel below it,
+    which covers every pair.  Beside K this holds about 2 MiB, and the
+    maxima, so the relative asymmetry, have the bits of a dense pass.
+    """
+    K = _floats(K, "matrix")
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.size == 0:
         raise InvalidArgumentError(f"matrix must be square and nonempty, got shape {K.shape}")
-    scale = float(np.max(np.abs(K)))
+    blocks = _row_blocks(*K.shape)
+    # np.max, not max: a NaN panel maximum stays NaN
+    scale = float(np.max([np.max(np.abs(K[blk])) for blk in blocks]))
     if not np.isfinite(scale):
         raise InvalidArgumentError("matrix entries must be finite")
     with np.errstate(over="ignore"):  # a difference overflowing to inf is asymmetric
-        asym = float(np.max(np.abs(K - K.T)))
+        asym = float(np.max([
+            np.max(np.abs(K[blk, blk.start:] - K[blk.start:, blk].T)) for blk in blocks
+        ]))
     if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise InvalidArgumentError(
             f"matrix is not symmetric (relative asymmetry {asym / max(scale, 1e-300):.3e})"
@@ -85,6 +97,19 @@ def _parse_jitter(jitter_policy, what: str = "jitter_policy") -> float:
     return jitter
 
 
+def _cholesky(K: np.ndarray, lam: float):
+    """The lower Cholesky factor of K + lam*I, made in one copy of K, freed if it fails.
+
+    With jitter the copy is K + 0.0 in Fortran order (entry for entry
+    K + lam*I off the diagonal, -0.0 included), and it is factored in place.
+    """
+    if lam == 0.0:
+        return cho_factor(K, lower=True, check_finite=False)
+    a = np.add(K, 0.0, out=np.empty(K.shape, order="F"))
+    np.fill_diagonal(a, np.diagonal(K) + lam)
+    return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+
+
 def solve_spd(
     K, rhs, jitter_policy: str | float = "none", diagnostics: str = "exact"
 ) -> SolveReport:
@@ -100,12 +125,16 @@ def solve_spd(
     or ``"off"`` (no eigendecomposition; both are NaN).  Either mode checks
     K and rhs alike, and a failed factorization names the smallest
     eigenvalue in its ``NotPositiveDefiniteError``.
+
+    Memory: beside K and rhs, an ``"off"`` solve holds one copy of K, the
+    Cholesky factor, and the symmetry check's panels; ``"exact"`` adds
+    what ``eigvalsh`` needs.  K itself is never changed.
     """
     ladder = [_parse_jitter(jitter_policy)]
     if diagnostics not in ("exact", "off"):
         raise InvalidArgumentError(f"diagnostics must be 'exact' or 'off', got {diagnostics!r}")
-    K = np.asarray(K, dtype=float)
-    b = np.asarray(rhs, dtype=float)
+    K = _floats(K, "matrix")
+    b = _floats(rhs, "rhs")
     # a K that is not 2-D is rejected by _check_symmetric, still before eigvalsh
     if K.ndim == 2 and (b.ndim not in (1, 2) or b.shape[0] != K.shape[0]):
         raise InvalidArgumentError(
@@ -123,9 +152,8 @@ def solve_spd(
         ladder += [step * unit for step in _AUTO_JITTER_STEPS]
 
     for lam in ladder:
-        Kreg = K if lam == 0.0 else K + lam * np.eye(K.shape[0])
         try:
-            factor = cho_factor(Kreg, lower=True, check_finite=False)
+            factor = _cholesky(K, lam)
         except LinAlgError:
             continue
         return SolveReport(

@@ -89,6 +89,10 @@ def test_observable_batch_and_dim_check():
     np.testing.assert_allclose(batch, [1.5, 2.5], rtol=1e-15)
     with pytest.raises(InvalidArgumentError):
         observable_G([1.0, 2.0, 3.0])
+    with pytest.raises(InvalidArgumentError, match=r"state must be 2-dimensional, got shape \(\)"):
+        observable_G(1.0)
+    with pytest.raises(InvalidArgumentError, match="state must be a rectangular array of real numbers"):
+        observable_G(["a", "b"])
 
 
 def test_config_validation():

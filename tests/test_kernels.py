@@ -337,6 +337,11 @@ def _dataset(k):
          InvalidArgumentError, "kernel points must be a rectangular array of real numbers"),
         (lambda: PointSet([1 + 2j, 0.0]), InvalidArgumentError,
          "points must be a rectangular array of real numbers"),
+        # a complex array is refused, not cast with its imaginary part dropped
+        (lambda: PointSet(np.array([1 + 2j, 0])), InvalidArgumentError,
+         "points must be a rectangular array of real numbers"),
+        (lambda: eval_kernel(KernelSpec("matern"), ["a"], [0.0]), InvalidArgumentError,
+         "kernel points must be a rectangular array of real numbers"),
         (lambda: TrajectoryDataset(k=[0], x=[["a"]], x_next=[[1.0]], y_next=[1.0]),
          InvalidArgumentError, "x must be a rectangular array of real numbers"),
     ],
@@ -346,7 +351,8 @@ def _dataset(k):
         "fractional-k", "nan-k", "huge-k", "2d-k", "scalar-k",
         "bool-in-index-list", "index-list-past-int64", "ragged-indices", "numpy-float-in-list",
         "scalar-states", "3d-outputs",
-        "ragged-points", "ragged-centers", "text-kernel-points", "complex-points", "text-states",
+        "ragged-points", "ragged-centers", "text-kernel-points", "complex-points",
+        "complex-array-points", "text-eval-kernel-points", "text-states",
     ],
 )
 def test_bad_points_and_time_indices_raise_naming_the_field(make, error, message):

@@ -521,6 +521,28 @@ def test_predict_memory_does_not_grow_with_the_queries(kern):
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("kind", ["pullback", "umf"])
+def test_a_large_fit_holds_at_most_one_more_m_by_m_array_than_k(kind):
+    # a 39 x 39 grid at unit spacing: M = 1521, and a well-conditioned Matern Gram
+    grid = np.stack(np.meshgrid(np.arange(39.0), np.arange(39.0)), -1).reshape(-1, 2)
+    m = len(grid)
+    ds = TrajectoryDataset(k=np.arange(m), x=grid, x_next=grid + 0.01, y_next=observable_G(grid + 0.01))
+    centers = PointSet(grid.copy(), indices=np.arange(m))
+    if kind == "pullback":
+        def fit():
+            return fit_pullback(ds, centers, MATERN1)
+    else:
+        def fit():
+            return fit_umf(ds, centers, MATERN1, g_at_centers=observable_G(grid))
+    tracemalloc.start()
+    try:
+        fit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * m * m * 8
+
+
 # ---------------------------------------------------------------------------
 # convergence rate per kernel family
 
@@ -619,6 +641,10 @@ _TWO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), indices=[0, 1])
             "center coordinates disagree with dataset states",
         ),
         (lambda: empirical_risk([1.0, 2.0], [1.0]), "shape mismatch: (2,) vs (1,)"),
+        (lambda: empirical_risk(1.0, 1.0), "samples must be 1-D or 2-D, got shape ()"),
+        (lambda: empirical_risk([math.inf], [math.inf]), "targets and predictions must be finite"),
+        (lambda: empirical_risk([[0.0, 1.0]], [[math.nan, 1.0]]), "targets and predictions must be finite"),
+        (lambda: empirical_risk(["a"], [1.0]), "targets must be a rectangular array of real numbers"),
         (
             lambda: edmd_fit(np.ones((2, 3)), np.ones((2, 4))),
             "basis evaluation matrices must share shape, got (2, 3) and (2, 4)",
@@ -633,6 +659,10 @@ _TWO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), indices=[0, 1])
         "estimate-rows",
         "center-coordinates",
         "risk-shape",
+        "risk-scalar",
+        "risk-infinite",
+        "risk-nan",
+        "risk-text",
         "edmd-shape",
         "edmd-coefficients",
     ],

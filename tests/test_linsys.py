@@ -1,16 +1,21 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from kernelkoop import (
     InvalidArgumentError,
+    KernelSpec,
     NotPositiveDefiniteError,
+    kernel_matrix,
     solve_spd,
     spectral_diagnostics,
 )
 from kernelkoop import linsys
+from kernelkoop.kernels import _row_blocks
 
 MATERN_UNIT = (1.0 + math.sqrt(3.0)) * math.exp(-math.sqrt(3.0))
 
@@ -280,3 +285,184 @@ def test_a_failed_solve_names_the_min_eigenvalue_in_either_mode(monkeypatch, pol
     with pytest.raises(NotPositiveDefiniteError):
         solve_spd(K, np.ones(2), jitter_policy=policy, diagnostics="off")
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the symmetry check, panel by panel
+
+_M = 600
+_PANEL = _row_blocks(_M, _M)[0].stop
+# the rows either side of each panel boundary
+_EDGE_ROWS = [k * _PANEL + o for k in (1, 2) for o in (-1, 0, 1)]
+
+
+def _dense_check_message(K):
+    """The error of the symmetry check made in one dense pass over K, or None."""
+    scale = float(np.max(np.abs(K)))
+    if not np.isfinite(scale):
+        return "matrix entries must be finite"
+    with np.errstate(over="ignore"):
+        asym = float(np.max(np.abs(K - K.T)))
+    if asym > 1e-10 * max(scale, 1e-300):
+        return f"matrix is not symmetric (relative asymmetry {asym / max(scale, 1e-300):.3e})"
+    return None
+
+
+def _check_message(K):
+    try:
+        assert linsys._check_symmetric(K) is K
+    except InvalidArgumentError as err:
+        return str(err)
+    return None
+
+
+def _symmetric_base():
+    assert len(_row_blocks(_M, _M)) == 3
+    A = np.random.default_rng(5).uniform(-0.5, 0.5, size=(_M, _M))
+    K = A + A.T
+    np.fill_diagonal(K, 1.0)  # so the scale is 1.0 exactly
+    return K
+
+
+@pytest.mark.parametrize("row", _EDGE_ROWS)
+def test_the_panel_check_draws_the_line_where_the_dense_check_does(row):
+    # entry (row, col) is delta above its mirror, which is 0.0: the asymmetry is delta
+    # exactly, and the tolerance lets 1e-10 through but not the next float up
+    K = _symmetric_base()
+    for col in (0, row - 1, row + 1, _M - 1):
+        for delta, fails in ((1e-10, False), (np.nextafter(1e-10, 1.0), True)):
+            A = K.copy()
+            A[row, col], A[col, row] = delta, 0.0
+            got = _check_message(A)
+            assert got == _dense_check_message(A), (col, delta)
+            assert (got is not None) == fails, (col, delta)
+
+
+@pytest.mark.parametrize("row", _EDGE_ROWS)
+def test_the_panel_check_reports_the_dense_relative_asymmetry(row):
+    K = _symmetric_base()
+    K[row, 3] += 0.25
+    K[_M - 2, row] -= 1e-3
+    assert _check_message(K) == _dense_check_message(K)
+    assert _check_message(K).startswith("matrix is not symmetric")
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", [(_M - 1, _M - 1), (_M - 1, 0), (2 * _PANEL, _M - 1)])
+def test_a_non_finite_entry_in_the_last_panel_only_fails(entry, where):
+    K = _symmetric_base()
+    K[where] = entry
+    assert _check_message(K) == _dense_check_message(K) == "matrix entries must be finite"
+
+
+@pytest.mark.parametrize("where", [(_M - 1, 5), (5, _M - 1), (_PANEL, _PANEL - 1)])
+def test_an_asymmetry_overflowing_in_a_later_panel_is_rejected_without_a_warning(where):
+    K = _symmetric_base()
+    K[where], K[where[::-1]] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = _check_message(K)
+    assert message == _dense_check_message(K) == "matrix is not symmetric (relative asymmetry inf)"
+
+
+# ---------------------------------------------------------------------------
+# the jittered factorization and the memory of a solve
+
+
+def _gram(m=40):
+    pts = np.random.default_rng(2).uniform(0.0, 3.0, size=(m, 2))
+    return kernel_matrix(KernelSpec("matern"), pts, pts)
+
+
+def _with_asymmetry(K):
+    A = K.copy()
+    A[3, 1] += 1e-13
+    return A
+
+
+def _spy_factorizations(monkeypatch):
+    seen = []
+
+    def spy(a, **kwargs):
+        seen.append(np.array(a))
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(linsys, "cho_factor", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "K",
+    [_gram(), _with_asymmetry(_gram()), np.array([[2.0, -0.0], [-0.0, 2.0]])],
+    ids=["gram", "user-asymmetry", "negative-zero"],
+)
+@pytest.mark.parametrize("lam", [1e-9, 0.5])
+def test_the_jittered_copy_is_k_plus_lam_times_the_identity(monkeypatch, K, lam):
+    b = np.linspace(-1.0, 1.0, len(K))
+    kept = K.copy()
+    seen = _spy_factorizations(monkeypatch)
+    report = solve_spd(K, b, jitter_policy=lam, diagnostics="off")
+    expected = K + lam * np.eye(len(K))
+    assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
+    assert K.tobytes() == kept.tobytes()
+    reference = cho_solve(cho_factor(expected, lower=True), b)
+    assert report.coefficients.tobytes() == reference.tobytes()
+
+
+def test_every_rung_of_the_auto_ladder_copies_k_plus_its_jitter(monkeypatch):
+    K = np.ones((3, 3))  # singular: the ladder runs until a jitter makes it definite
+    seen = _spy_factorizations(monkeypatch)
+    report = solve_spd(K, np.ones(3), jitter_policy="auto", diagnostics="off")
+    unit = np.trace(K) / 3
+    ladder = [0.0] + [step * unit for step in linsys._AUTO_JITTER_STEPS]
+    assert report.jitter_used == ladder[len(seen) - 1] > 0
+    for lam, copy in zip(ladder, seen):
+        assert copy.tobytes() == (K if lam == 0.0 else K + lam * np.eye(3)).tobytes()
+    assert np.array_equal(K, np.ones((3, 3)))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def large_gram():
+    # a 39 x 39 grid at unit spacing: M = 1521, and a well-conditioned Matern Gram
+    grid = np.stack(np.meshgrid(np.arange(39.0), np.arange(39.0)), -1).reshape(-1, 2)
+    return kernel_matrix(KernelSpec("matern"), grid, grid)
+
+
+def test_the_symmetry_check_holds_no_full_size_temporary(large_gram):
+    assert _traced_peak(lambda: linsys._check_symmetric(large_gram)) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("policy", ["none", 1e-9])
+def test_a_solve_without_diagnostics_holds_one_copy_of_k(large_gram, policy):
+    rhs = np.ones(len(large_gram))
+    peak = _traced_peak(lambda: solve_spd(large_gram, rhs, jitter_policy=policy, diagnostics="off"))
+    assert peak <= 1.1 * large_gram.nbytes
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: solve_spd([["a"]], [1.0]), "matrix"),
+        (lambda: solve_spd(np.eye(1), ["a"]), "rhs"),
+        (lambda: spectral_diagnostics([["a"]]), "matrix"),
+        (lambda: solve_spd(np.array([[1 + 1j]]), [1.0]), "matrix"),
+        (lambda: solve_spd(np.eye(1), np.array([1j])), "rhs"),
+        (lambda: spectral_diagnostics(np.eye(2, dtype=complex)), "matrix"),
+    ],
+    ids=["text-matrix", "text-rhs", "text-spectrum", "complex-matrix", "complex-rhs", "complex-spectrum"],
+)
+def test_text_or_complex_input_is_an_invalid_argument_naming_it(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError) as err:
+            call()
+    assert str(err.value) == f"{message} must be a rectangular array of real numbers"

@@ -121,6 +121,24 @@ def test_in_place_matern_profile_equals_the_closed_form(beta, convention, r):
     assert _profile(spec, r).tobytes() == ((1.0 + a * arg) * np.exp(-a * arg)).tobytes()
 
 
+@FEW
+@given(
+    st.sampled_from(list(KernelFamily)),
+    st.sampled_from(list(DistanceConvention)),
+    st.floats(0.2, 5.0),
+    distances,
+)
+def test_profile_written_into_its_input_has_the_bits_of_a_new_array(family, convention, scale, r):
+    spec = KernelSpec(family, beta=scale, support_scale=scale, distance_convention=convention)
+    for dist in (r, np.append(scale * _EDGES, [np.inf, 1e200])):
+        kept = dist.copy()
+        expected = _profile(spec, dist)
+        assert dist.tobytes() == kept.tobytes()  # without out, the input is left as it is
+        assert _profile(spec, dist, out=dist) is dist
+        assert dist.tobytes() == expected.tobytes()
+        assert _profile(spec, kept, out=np.empty_like(kept)).tobytes() == expected.tobytes()
+
+
 @st.composite
 def separated_points(draw, gap=0.1):
     """(M, d) points in [0, 2]^d, pairwise farther apart than ``gap``: random states
