@@ -7,7 +7,8 @@ has succeeded, so a failed command leaves no files behind.  Reruns with
 the same inputs produce byte-identical files.  Plotting is left to
 external tools.
 
-Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
+Exit codes: 0 success, 2 invalid config, 3 numerical failure or out of
+memory, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def _count(cfg, section: str, key: str) -> int:
         ) from None
     if value < 1:
         raise ConfigError(f"[{section}] {key} must be at least 1, got {value}")
+    if value >= 2**63:
+        raise ConfigError(f"[{section}] {key} must be in the int64 range, got {value}")
     return value
 
 
@@ -439,6 +442,8 @@ def main(argv=None) -> int:
         code, error = 2, exc
     except (DegenerateInputError, NotPositiveDefiniteError) as exc:
         code, error = 3, exc
+    except MemoryError as exc:  # a size past what the machine can allocate
+        code, error = 3, f"out of memory: {exc}"
     except (CsvFormatError, OSError) as exc:
         code, error = 4, exc
     print(f"error: {error}", file=sys.stderr)

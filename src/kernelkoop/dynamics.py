@@ -47,6 +47,8 @@ class PendulumConfig:
             raise InvalidArgumentError(f"time step must be > 0, got {self.h}")
         if self.steps < 1:
             raise InvalidArgumentError(f"steps must be >= 1, got {self.steps}")
+        if self.steps >= 2**63:
+            raise InvalidArgumentError(f"steps must be in the int64 range, got {self.steps}")
 
 
 def pendulum_step(x1: float, x2: float, h: float) -> tuple[float, float]:
@@ -62,7 +64,9 @@ def observable_G(x) -> float | np.ndarray:
     arr = _floats(x, "state")
     if arr.shape[-1:] != (2,):
         raise InvalidArgumentError(f"state must be 2-dimensional, got shape {arr.shape}")
-    val = 1.5 - np.sin(arr[..., 1]) + arr[..., 0] ** 2 / 9.0
+    # G of a huge or an infinite state is inf or NaN, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = 1.5 - np.sin(arr[..., 1]) + arr[..., 0] ** 2 / 9.0
     return float(val) if arr.ndim == 1 else val
 
 
@@ -73,7 +77,10 @@ def hamiltonian(x1: float, x2: float) -> float:
 
 def simulate(config: PendulumConfig) -> TrajectoryDataset:
     """Iterate the step map and record (k, x_k, x_{k+1}, G(x_{k+1})) per step, all finite."""
-    states = np.empty((config.steps + 1, 2))
+    try:
+        states = np.empty((config.steps + 1, 2))
+    except ValueError:  # numpy refuses a size past its limits before it tries to allocate
+        raise MemoryError(f"{config.steps + 1} states exceed numpy's largest array") from None
     states[0] = (config.x1_0, config.x2_0)
     # an overflow is found by the finiteness check below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):

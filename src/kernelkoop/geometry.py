@@ -20,7 +20,10 @@ def _eta(value) -> float:
         raise InvalidArgumentError(f"eta must be a real number, got {value!r}")
     if not value > 0:
         raise InvalidArgumentError(f"eta must be > 0, got {value}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int too large for a float
+        raise InvalidArgumentError(f"eta must fit in a float, got {value}") from None
 
 
 def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = None) -> PointSet:
@@ -77,7 +80,10 @@ def nested_center_sets(trajectory, etas: Sequence[float]) -> list[PointSet]:
     Each level reuses the previous level's centers as seeds, so the sets
     are nested and their fill distances decrease with the schedule.
     """
-    etas = [_eta(e) for e in etas]
+    try:
+        etas = [_eta(e) for e in etas]
+    except TypeError:  # etas is no sequence
+        raise InvalidArgumentError(f"etas must be a sequence of numbers, got {etas!r}") from None
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise InvalidArgumentError("eta schedule must be strictly decreasing")
     sets: list[PointSet] = []
@@ -128,14 +134,17 @@ def eta_for_center_count(trajectory, count: int) -> float:
         return len(subselect_centers(trajectory, eta))
 
     lo = 1e-12
-    # the bounding-box diagonal bounds the diameter of the states
-    hi = float(np.linalg.norm(states.max(axis=0) - states.min(axis=0))) + 1.0
+    # the bounding-box diagonal bounds the diameter of the states; past the float range
+    # the largest float does, since a distance that overflows exceeds every finite eta
+    with np.errstate(over="ignore"):
+        diagonal = float(np.linalg.norm(states.max(axis=0) - states.min(axis=0)))
+    hi = min(diagonal, np.finfo(float).max) + 1.0
     if kept(lo) < count:
         raise DegenerateInputError(
             f"trajectory has repeated states; cannot reach {count} centers"
         )
     for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # the bits of 0.5 * (lo + hi), which overflows near the top
         n = kept(mid)
         if n == count:
             return mid

@@ -239,9 +239,17 @@ def _floats(obj, what: str) -> np.ndarray:
         arr = np.asarray(obj)
         if arr.dtype.kind != "c":
             return arr.astype(float, copy=False)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
         pass
     raise InvalidArgumentError(f"{what} must be a rectangular array of real numbers")
+
+
+def _finite(obj, what: str) -> np.ndarray:
+    """``obj`` as ``_floats`` converts it, every value finite, else InvalidArgumentError."""
+    arr = _floats(obj, what)
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"{what} must be finite")
+    return arr
 
 
 def _integers(values, what: str) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .kernels import (
-    KernelSpec, PointSet, TrajectoryDataset, _floats, _row_blocks, as_points, kernel_matrix
+    KernelSpec, PointSet, TrajectoryDataset, _finite, _floats, _row_blocks, as_points, kernel_matrix
 )
 from .linsys import SolveReport, solve_spd
 
@@ -49,6 +49,8 @@ class KoopmanEstimate:
 
     def __post_init__(self) -> None:
         self.alpha = as_points(self.alpha, "alpha")
+        if self.alpha.ndim != 2:
+            raise InvalidArgumentError(f"alpha must be 1-D or 2-D, got shape {self.alpha.shape}")
         m = len(self.centers)
         if len(self.advanced_centers) != m or self.alpha.shape[0] != m:
             raise InvalidArgumentError(
@@ -154,6 +156,8 @@ def fit_umf(
     ``"off"``), so the peak is about 2 K.
     """
     g = as_points(g_at_centers, "g_at_centers")
+    if g.ndim != 2:
+        raise InvalidArgumentError(f"g_at_centers must be 1-D or 2-D, got shape {g.shape}")
     if g.shape[0] != len(centers):
         raise InvalidArgumentError(
             f"g_at_centers must have {len(centers)} rows, got {g.shape[0]}"
@@ -183,7 +187,7 @@ def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
     the result then has the one-shot bits, and otherwise agrees with them
     to within rounding.
     """
-    pts = np.asarray(x, dtype=float)
+    pts = _finite(x, "queries")
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     base = (
@@ -217,12 +221,13 @@ def empirical_risk(targets, predictions) -> float:
     if t.ndim == 1:
         t = t[:, None]
         p = p[:, None]
-    return float(np.mean(np.sum((t - p) ** 2, axis=1)))
+    with np.errstate(over="ignore"):  # an error past the float range is inf
+        return float(np.mean(np.sum((t - p) ** 2, axis=1)))
 
 
 def kernel_sections(kernel: KernelSpec, centers: PointSet, points) -> np.ndarray:
     """Basis-evaluation matrix: entry (i, j) is K(c_i, p_j)."""
-    return kernel_matrix(kernel, centers, np.atleast_2d(points))
+    return kernel_matrix(kernel, centers, np.atleast_2d(_floats(points, "kernel points")))
 
 
 def edmd_fit(
@@ -237,14 +242,11 @@ def edmd_fit(
     basis-evaluation matrices yield the minimum-norm solution with a
     warning instead of failing like the normal-equations closed form.
     """
-    Px = np.asarray(psi_x, dtype=float)
-    Pp = np.asarray(psi_x_plus, dtype=float)
+    Px, Pp = (_finite(psi, "basis evaluation matrices") for psi in (psi_x, psi_x_plus))
     if Px.ndim != 2 or Px.shape != Pp.shape:
         raise InvalidArgumentError(
             f"basis evaluation matrices must share shape, got {Px.shape} and {Pp.shape}"
         )
-    if not (np.isfinite(Px).all() and np.isfinite(Pp).all()):
-        raise InvalidArgumentError("basis evaluation matrices must be finite")
     n_basis = Px.shape[0]
     solution, _, rank, _ = np.linalg.lstsq(Px.T, Pp.T, rcond=None)
     A = solution.T
@@ -277,13 +279,14 @@ def edmd_apply(op: EdmdOperator, g_coeffs, x) -> float:
         raise InvalidArgumentError(
             "operator carries no kernel-section basis; fit with basis_centers and kernel"
         )
-    coeffs = np.asarray(g_coeffs, dtype=float).ravel()
+    coeffs = _finite(g_coeffs, "g_coeffs").ravel()
     if coeffs.shape[0] != op.A.shape[0]:
         raise InvalidArgumentError(
             f"g_coeffs must have length {op.A.shape[0]}, got {coeffs.shape[0]}"
         )
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    pts = np.atleast_2d(_floats(x, "x"))
     if pts.shape[0] != 1:
         raise InvalidArgumentError(f"x must be one point, got shape {np.shape(x)}")
     psi = kernel_sections(op.kernel, op.basis_centers, pts)[:, 0]
-    return float(coeffs @ op.A @ psi)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range: inf or NaN
+        return float(coeffs @ op.A @ psi)

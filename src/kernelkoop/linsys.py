@@ -10,6 +10,7 @@ eigendecomposition and reports NaN for both.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
-from .kernels import _floats, _row_blocks
+from .kernels import _finite, _floats, _row_blocks
 
 _SYMMETRY_RTOL = 1e-10
 _AUTO_JITTER_STEPS = (1e-12, 1e-10, 1e-8)
@@ -84,12 +85,12 @@ def spectral_diagnostics(K) -> SpectralDiagnostics:
 
 def _parse_jitter(jitter_policy, what: str = "jitter_policy") -> float:
     """The first jitter of a policy: 0 for "none" and "auto", else the fixed finite jitter >= 0."""
-    if jitter_policy in ("none", "auto"):
+    if isinstance(jitter_policy, str) and jitter_policy in ("none", "auto"):
         return 0.0
-    try:
-        jitter = float(jitter_policy)
-    except (TypeError, ValueError):
-        jitter = float("nan")
+    try:  # an array is no jitter, even with one element
+        jitter = float(jitter_policy) if isinstance(jitter_policy, (str, numbers.Real)) else np.nan
+    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
+        jitter = np.nan
     if not np.isfinite(jitter) or jitter < 0:
         raise InvalidArgumentError(
             f"{what} must be 'none', 'auto' or a finite float >= 0, got {jitter_policy!r}"
@@ -131,17 +132,15 @@ def solve_spd(
     what ``eigvalsh`` needs.  K itself is never changed.
     """
     ladder = [_parse_jitter(jitter_policy)]
-    if diagnostics not in ("exact", "off"):
+    if not (isinstance(diagnostics, str) and diagnostics in ("exact", "off")):
         raise InvalidArgumentError(f"diagnostics must be 'exact' or 'off', got {diagnostics!r}")
     K = _floats(K, "matrix")
-    b = _floats(rhs, "rhs")
+    b = _finite(rhs, "rhs")
     # a K that is not 2-D is rejected by _check_symmetric, still before eigvalsh
     if K.ndim == 2 and (b.ndim not in (1, 2) or b.shape[0] != K.shape[0]):
         raise InvalidArgumentError(
             f"rhs must have {K.shape[0]} rows, got shape {np.shape(rhs)}"
         )
-    if not np.isfinite(b).all():
-        raise InvalidArgumentError("rhs must be finite")
     if diagnostics == "exact":
         diag = spectral_diagnostics(K)
     else:

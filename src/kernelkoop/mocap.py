@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CsvFormatError, DegenerateInputError, InvalidArgumentError
 from .geometry import subselect_centers
 from .io import _read_body, _read_header
-from .kernels import KernelSpec, TrajectoryDataset, _integers
+from .kernels import KernelSpec, TrajectoryDataset, _finite, _integers
 from .koopman import KoopmanEstimate, fit_pullback
 
 log = logging.getLogger(__name__)
@@ -49,11 +49,9 @@ class _Markers:
         object.__setattr__(self, "t", t.item() if t.ndim == 0 else t)
         shape = t.shape + (self._width,)
         for name in _MARKERS:
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = _finite(getattr(self, name), f"{name} marker")
             if v.shape != shape:
                 raise InvalidArgumentError(f"{name} marker must be a {self._width}-vector per frame")
-            if not np.all(np.isfinite(v)):
-                raise InvalidArgumentError(f"{name} marker must be finite")
             object.__setattr__(self, name, v)
 
     def __len__(self) -> int:
@@ -102,7 +100,11 @@ def _axis_index(axis: str) -> int:
 
 def _plane_indices(plane_axes) -> np.ndarray:
     """Coordinate indices of the (forward, up) axes, two distinct names of x, y and z."""
-    fwd, up = map(_axis_index, plane_axes)
+    try:
+        fwd, up = plane_axes
+    except (TypeError, ValueError):  # not an iterable of two
+        raise InvalidArgumentError(f"plane axes must be a pair, got {plane_axes!r}") from None
+    fwd, up = _axis_index(fwd), _axis_index(up)
     if fwd == up:
         raise InvalidArgumentError("plane axes must be two distinct coordinate axes")
     return np.array([fwd, up])

@@ -454,6 +454,37 @@ def test_grid_n_below_one_is_a_config_error_and_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, key",
+    [("simulate", "dynamics", "steps"), ("fit", "fit", "grid_n"), ("mocap", "mocap", "grid_n")],
+)
+def test_a_count_past_the_int64_range_is_a_config_error(tmp_path, capsys, command, section, key):
+    commands = {"simulate": ["simulate"], **_fit_and_mocap_inputs(tmp_path)}
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{section}]\n{key} = 100000000000000000000\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--out", str(out), *commands[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"[{section}] {key} must be in the int64 range, got 100000000000000000000"
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def simulate(config):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "simulate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 14.6 TiB for an array\n"
+    assert not out.exists()
+
+
 def test_mocap_failing_after_the_angles_writes_nothing(tmp_path):
     # the angles table is complete before the fit finds too few centers
     markers = tmp_path / "static.csv"

@@ -95,6 +95,16 @@ def test_observable_batch_and_dim_check():
         observable_G(["a", "b"])
 
 
+def test_observable_of_a_huge_state_is_inf_without_a_warning():
+    assert observable_G([1e200, 0.0]) == math.inf
+    assert np.isnan(observable_G(np.array([[0.0, math.inf]]))).all()
+
+
+def test_steps_past_the_largest_array_are_out_of_memory_before_any_allocation():
+    with pytest.raises(MemoryError, match="exceed numpy's largest array"):
+        simulate(PendulumConfig(steps=2**62))
+
+
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         PendulumConfig(h=0.0)
@@ -111,7 +121,10 @@ def test_config_rejects_non_finite(field, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("steps", 2.5), ("steps", "10"), ("steps", None), ("x1_0", "0.5x"), ("x2_0", [1.0]), ("h", None)],
+    [
+        ("steps", 2.5), ("steps", "10"), ("steps", None), ("x1_0", "0.5x"), ("x2_0", [1.0]), ("h", None),
+        ("steps", 2**63), ("steps", 10**20),
+    ],
 )
 def test_config_rejects_a_field_of_the_wrong_type(field, value):
     with pytest.raises(InvalidArgumentError, match=f"^{field} must be "):

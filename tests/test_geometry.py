@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,17 @@ def test_nested_sets_fill_decreases():
     sets = nested_center_sets(dataset, [1.5, 0.8, 0.4, 0.2])
     fills = [fill_distance(c, states) for c in sets]
     assert all(b <= a for a, b in zip(fills, fills[1:]))
+
+
+def test_eta_for_center_count_bisects_below_the_largest_float_unwarned():
+    # the bounding box's diagonal overflows: the largest float bounds the bracket instead,
+    # and the two states, an infinite distance apart, are kept by every finite eta
+    states = np.array([[0.0, 0.0], [0.0, 1.5e154]])
+    eta = eta_for_center_count(states, 2)
+    assert 0 < eta < math.inf and len(subselect_centers(states, eta)) == 2
+    # every eta keeps all three states, so the bracket's low end climbs to the largest float
+    with pytest.raises(DegenerateInputError, match="no eta yields exactly 2 centers"):
+        eta_for_center_count(np.vstack([states, [1.5e154, 0.0]]), 2)
 
 
 def test_eta_for_center_count_unreachable():
@@ -277,11 +289,20 @@ def test_unusable_points_name_the_argument_and_its_shape(call, what, shape):
          "count must be integers in the int64 range, got '3'"),
         (lambda: eta_for_center_count(_LINE, 2.5), InvalidArgumentError,
          "count must be integers in the int64 range, got 2.5"),
+        (lambda: nested_center_sets(_LINE, 1.0), InvalidArgumentError,
+         "etas must be a sequence of numbers, got 1.0"),
+        (lambda: nested_center_sets(_LINE, None), InvalidArgumentError,
+         "etas must be a sequence of numbers, got None"),
+        (lambda: nested_center_sets(_LINE, True), InvalidArgumentError,
+         "etas must be a sequence of numbers, got True"),
+        (lambda: subselect_centers(_LINE, 10**400), InvalidArgumentError,
+         f"eta must fit in a float, got {10**400}"),
     ],
     ids=[
         "seed-dimension", "seed-without-indices", "fill-dimension", "count-range", "repeated",
         "list-eta", "text-eta", "bool-eta", "array-seed", "text-eta-in-schedule",
-        "negative-eta-in-schedule", "text-count", "fractional-count",
+        "negative-eta-in-schedule", "text-count", "fractional-count", "number-schedule",
+        "none-schedule", "bool-schedule", "eta-past-float-range",
     ],
 )
 def test_geometry_argument_errors(call, error, message):

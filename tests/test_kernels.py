@@ -344,6 +344,9 @@ def _dataset(k):
          "kernel points must be a rectangular array of real numbers"),
         (lambda: TrajectoryDataset(k=[0], x=[["a"]], x_next=[[1.0]], y_next=[1.0]),
          InvalidArgumentError, "x must be a rectangular array of real numbers"),
+        # an int too large for a float is no real number a float array can hold
+        (lambda: PointSet([[10**400, 0.0]]), InvalidArgumentError,
+         "points must be a rectangular array of real numbers"),
     ],
     ids=[
         "fractional-indices", "huge-index", "index-past-int64", "bool-indices", "text-indices",
@@ -352,7 +355,7 @@ def _dataset(k):
         "bool-in-index-list", "index-list-past-int64", "ragged-indices", "numpy-float-in-list",
         "scalar-states", "3d-outputs",
         "ragged-points", "ragged-centers", "text-kernel-points", "complex-points",
-        "complex-array-points", "text-eval-kernel-points", "text-states",
+        "complex-array-points", "text-eval-kernel-points", "text-states", "int-past-float-points",
     ],
 )
 def test_bad_points_and_time_indices_raise_naming_the_field(make, error, message):
@@ -556,6 +559,24 @@ def test_only_kernels_computes_distances():
                     getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
                 }, (path.name, getattr(node, "lineno", None))
     assert spatial == ["kernels.py"]
+
+
+def test_only_kernels_converts_to_float():
+    # one float rule, kernels._floats: no other module passes dtype=float or calls .astype(float)
+    for path in sorted(Path(kernelkoop.__file__).parent.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            assert not any(
+                kw.arg == "dtype" and getattr(kw.value, "id", None) == "float"
+                for kw in node.keywords
+            ), (path.name, node.lineno)
+            assert not (
+                getattr(node.func, "attr", None) == "astype"
+                and any(getattr(arg, "id", None) == "float" for arg in node.args)
+            ), (path.name, node.lineno)
 
 
 def test_only_kernels_sizes_the_blocks():

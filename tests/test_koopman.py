@@ -618,6 +618,12 @@ def test_projected_sup_error_falls_at_the_rate_of_the_kernel_smoothness(rate_lev
 _TWO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), indices=[0, 1])
 
 
+def _two_center_estimate(alpha=np.ones((2, 1))):
+    return KoopmanEstimate(
+        EstimateMode.PULLBACK, _TWO, _TWO, alpha, MATERN1, SolveReport(np.ones((2, 1)), 1.0, 1.0)
+    )
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -653,6 +659,44 @@ _TWO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), indices=[0, 1])
             lambda: edmd_apply(EdmdOperator(np.eye(2), _TWO, MATERN1), [1.0, 2.0, 3.0], [0.0, 0.0]),
             "g_coeffs must have length 2, got 3",
         ),
+        (
+            lambda: predict(_two_center_estimate(), ["a", "b"]),
+            "queries must be a rectangular array of real numbers",
+        ),
+        (
+            lambda: predict(_two_center_estimate(), np.array([1 + 2j, 0.0])),
+            "queries must be a rectangular array of real numbers",
+        ),
+        (lambda: predict(_two_center_estimate(), [[0.0, 0.0], [math.nan, 0.0]]), "queries must be finite"),
+        (
+            lambda: edmd_fit([["a"]], [["b"]]),
+            "basis evaluation matrices must be a rectangular array of real numbers",
+        ),
+        (
+            lambda: edmd_fit(np.eye(2), np.array([[1 + 2j, 0.0], [0.0, 1.0]])),
+            "basis evaluation matrices must be a rectangular array of real numbers",
+        ),
+        (
+            lambda: edmd_apply(EdmdOperator(np.eye(2), _TWO, MATERN1), [math.nan, 1.0], [0.0, 0.0]),
+            "g_coeffs must be finite",
+        ),
+        (
+            lambda: edmd_apply(
+                EdmdOperator(np.eye(2), _TWO, MATERN1), [1.0, 1.0], np.array([1 + 2j, 0.0])
+            ),
+            "x must be a rectangular array of real numbers",
+        ),
+        (
+            lambda: kernel_sections(MATERN1, _TWO, ["a", "b"]),
+            "kernel points must be a rectangular array of real numbers",
+        ),
+        (
+            lambda: fit_umf(
+                *_random_dataset(np.random.default_rng(4), 6), MATERN1, g_at_centers=1.0
+            ),
+            "g_at_centers must be 1-D or 2-D, got shape ()",
+        ),
+        (lambda: _two_center_estimate(alpha=1.0), "alpha must be 1-D or 2-D, got shape ()"),
     ],
     ids=[
         "state-dimension",
@@ -665,6 +709,16 @@ _TWO = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), indices=[0, 1])
         "risk-text",
         "edmd-shape",
         "edmd-coefficients",
+        "predict-text",
+        "predict-complex",
+        "predict-nan",
+        "edmd-text",
+        "edmd-complex",
+        "edmd-apply-nan-coefficients",
+        "edmd-apply-complex-point",
+        "sections-text",
+        "umf-scalar-g",
+        "estimate-scalar-alpha",
     ],
 )
 def test_koopman_argument_errors(call, message):
@@ -748,3 +802,9 @@ def test_non_finite_solve_and_estimate_inputs_fail_loudly(tmp_path, call, messag
     with pytest.raises(InvalidArgumentError) as err:
         call(tmp_path)
     assert str(err.value) == message
+
+
+def test_a_result_past_the_float_range_is_inf_without_a_warning():
+    assert empirical_risk([1e200], [-1e200]) == math.inf
+    op = EdmdOperator(np.eye(2), _TWO, MATERN1)
+    assert edmd_apply(op, [1.7e308, 1.7e308], [0.5, 0.0]) == math.inf

@@ -157,8 +157,15 @@ def test_cond_at_least_diagonal_ratio(seed):
 
 @pytest.mark.parametrize(
     "rhs, policy",
-    [(np.ones(4), "sometimes"), (np.ones(4), -1.0), (np.ones(3), "none"), (np.ones((4, 1, 1)), "auto")],
-    ids=["unknown-policy", "negative-jitter", "short-rhs", "rhs-3d"],
+    [
+        (np.ones(4), "sometimes"), (np.ones(4), -1.0), (np.ones(3), "none"),
+        (np.ones((4, 1, 1)), "auto"), (np.ones(4), np.array(["none", "auto"])),
+        (np.ones(4), np.array([0.5])), (np.ones(4), 10**400),
+    ],
+    ids=[
+        "unknown-policy", "negative-jitter", "short-rhs", "rhs-3d",
+        "policy-array", "one-element-array", "int-past-float-range",
+    ],
 )
 def test_bad_input_fails_before_the_eigendecomposition(monkeypatch, rhs, policy):
     def eigvalsh(K):
@@ -244,7 +251,9 @@ def test_a_solve_without_diagnostics_computes_no_spectrum(monkeypatch, policy):
     assert (exact.condition_number, exact.min_eigenvalue) == (expected.cond, expected.lambda_min)
 
 
-@pytest.mark.parametrize("mode", ["lanczos", "EXACT", None, True])
+@pytest.mark.parametrize(
+    "mode", ["lanczos", "EXACT", None, True, np.array(["exact", "off"]), np.array(["off"])]
+)
 def test_an_unknown_diagnostics_mode_fails_before_the_eigendecomposition(monkeypatch, mode):
     def eigvalsh(K):
         raise AssertionError("eigvalsh reached")

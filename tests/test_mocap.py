@@ -49,6 +49,14 @@ def test_project_accepts_only_axis_names(axes):
     assert project_sagittal(frame, plane_axes=(" Y", "Z")).hip.tolist() == [2.0, 3.0]
 
 
+@pytest.mark.parametrize("axes", [None, 1.0, True, "xyz", ("x",), ("x", "y", "z"), []])
+def test_plane_axes_must_be_a_pair(axes):
+    frame = MarkerFrame(t=0, hip=[1.0, 2.0, 3.0], knee=[4.0, 5.0, 6.0], ankle=[7.0, 8.0, 9.0])
+    for call in (project_sagittal, lambda f, plane_axes: extract_angles([f], plane_axes)):
+        with pytest.raises(InvalidArgumentError, match="plane axes must be a pair, got"):
+            call(frame, plane_axes=axes)
+
+
 def test_project_idempotent_on_planar_data():
     frame = MarkerFrame(t=0, hip=[0.1, 0.0, 0.9], knee=[0.2, 0.0, 0.5], ankle=[0.3, 0.0, 0.1])
     once = project_sagittal(frame)
@@ -262,6 +270,15 @@ def test_marker_frame_stacks_frames_along_a_leading_axis():
 def test_planar_frame_rejects_non_finite_and_wrong_width_markers(hip, message):
     with pytest.raises(InvalidArgumentError, match=f"hip marker must be .*{message}"):
         _planar(hip, [0.0, -0.4], [0.0, -0.8])
+
+
+@pytest.mark.parametrize(
+    "knee", [["a", "b"], [1 + 2j, 0.0], np.array([1 + 2j, 0.0]), [[0.0], [0.0, 1.0]]]
+)
+def test_marker_frames_take_real_numbers_only(knee):
+    with pytest.raises(InvalidArgumentError) as err:
+        PlanarFrame(0, [0.0, 0.0], knee, [0.0, -0.8])
+    assert str(err.value) == "knee marker must be a rectangular array of real numbers"
 
 
 _LEG3 = ([0.0, 0.1, 0.0], [0.0, 0.1, -0.4], [0.0, 0.1, -0.8])
