@@ -186,11 +186,24 @@ def _all_states(dataset) -> np.ndarray:
 _DIAGNOSTICS_HEADER = ["M", "fill_distance", "separation", "cond", "lambda_min", "jitter_used"]
 
 
-def _surface_and_diagnostics(estimates, states: np.ndarray, grid_n: int):
+def _grid(grid_n: int) -> np.ndarray:
+    """An unfilled (grid_n, grid_n, 2) surface grid, allocated before a command computes.
+
+    A grid past numpy's largest array is out of memory, refused before
+    anything is allocated.
+    """
+    try:
+        return np.empty((grid_n, grid_n, 2))
+    except ValueError:  # numpy refuses a size past its limits before it tries to allocate
+        raise MemoryError(f"a {grid_n} x {grid_n} grid exceeds numpy's largest array") from None
+
+
+def _surface_and_diagnostics(estimates, states: np.ndarray, grid: np.ndarray):
     """The estimates on a grid over the first one's advanced centers, and its diagnostics row.
 
-    The grid_n x grid_n grid pads the centers' bounding box by a tenth of its
-    extent; the row follows _DIAGNOSTICS_HEADER, with the fill over ``states``.
+    ``grid``, from ``_grid``, is filled with points (z1[i], z2[j]) at row
+    i * grid_n + j, the axes padding the centers' bounding box by a tenth of
+    its extent; the row follows _DIAGNOSTICS_HEADER, with the fill over ``states``.
     """
     first = estimates[0]
     box = first.advanced_centers.points
@@ -198,8 +211,10 @@ def _surface_and_diagnostics(estimates, states: np.ndarray, grid_n: int):
         raise InvalidArgumentError("surface grids require 2-D states")
     lo, hi = box.min(axis=0), box.max(axis=0)
     pad = 0.1 * np.where(hi > lo, hi - lo, 1.0)
-    axes = [np.linspace(a, b, grid_n) for a, b in zip(lo - pad, hi + pad)]
-    grid = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    z1, z2 = (np.linspace(a, b, len(grid)) for a, b in zip(lo - pad, hi + pad))
+    grid[..., 0] = z1[:, None]
+    grid[..., 1] = z2
+    grid = grid.reshape(-1, 2)
     surface = np.column_stack([grid, *(predict(e, grid) for e in estimates)])
     centers, report = first.centers, first.diagnostics
     row = [
@@ -231,11 +246,12 @@ def cmd_fit(args, cfg) -> tuple[dict, dict, str]:
     eta = _float(cfg, "fit", "eta")
     grid_n = _count(cfg, "fit", "grid_n")
     _parse_jitter(cfg["fit"]["jitter"], "[fit] jitter")
+    grid = _grid(grid_n)
     dataset, dynamics = _read_trajectory(args)
 
     centers = subselect_centers(dataset, eta)
     estimate = fit_pullback(dataset, centers, kernel, cfg["fit"]["jitter"], diagnostics="exact")
-    surface, diagnostics = _surface_and_diagnostics([estimate], _all_states(dataset), grid_n)
+    surface, diagnostics = _surface_and_diagnostics([estimate], _all_states(dataset), grid)
     n = estimate.output_dim
     outputs = ["y_hat"] if n == 1 else [f"y{j + 1}_hat" for j in range(n)]
 
@@ -349,6 +365,7 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
     grid_n = _count(cfg, "mocap", "grid_n")
     axes = (cfg["mocap"]["axis_fwd"], cfg["mocap"]["axis_up"])
     _plane_indices(axes)
+    grid = _grid(grid_n)
 
     frames = read_marker_csv(args.markers)
     samples = extract_angles(frames, plane_axes=axes)
@@ -356,7 +373,7 @@ def cmd_mocap(args, cfg) -> tuple[dict, dict, str]:
         raise DegenerateInputError("no usable frames in the marker file")
     g1, g2 = fit_kinematics(samples, eta, kernel)
     angle_states = np.column_stack((samples.theta1, samples.theta2))
-    surface, diagnostics = _surface_and_diagnostics([g1, g2], angle_states, grid_n)
+    surface, diagnostics = _surface_and_diagnostics([g1, g2], angle_states, grid)
 
     artifacts = {
         "mocap_angles.csv": (

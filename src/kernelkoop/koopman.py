@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .kernels import (
-    KernelSpec, PointSet, TrajectoryDataset, _finite, _floats, _row_blocks, as_points, kernel_matrix
+    KernelSpec, PointSet, TrajectoryDataset, _finite, _floats, _points, _row_blocks, as_points,
+    kernel_matrix,
 )
 from .linsys import SolveReport, solve_spd
 
@@ -226,8 +227,16 @@ def empirical_risk(targets, predictions) -> float:
 
 
 def kernel_sections(kernel: KernelSpec, centers: PointSet, points) -> np.ndarray:
-    """Basis-evaluation matrix: entry (i, j) is K(c_i, p_j)."""
-    return kernel_matrix(kernel, centers, np.atleast_2d(_floats(points, "kernel points")))
+    """Basis-evaluation matrix: entry (i, j) is K(c_i, p_j).
+
+    ``points`` is a PointSet, a dataset (its states) or an array, in which
+    a 1-D array is one point.  The matrix is assembled as a cross matrix
+    also when ``points`` are the centers themselves.
+    """
+    if not isinstance(points, (PointSet, TrajectoryDataset)):
+        points = np.atleast_2d(_floats(points, "kernel points"))
+    # a view, never `centers` itself: kernel_matrix takes the Gram path when B is A
+    return kernel_matrix(kernel, centers, _points(points, "kernel points").view())
 
 
 def edmd_fit(

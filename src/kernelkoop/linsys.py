@@ -6,6 +6,11 @@ factorization; the inverse is never formed.  A solve with
 eigenvalue of the raw input matrix, since those quantities drive the
 numerical stability of kernel interpolation; with ``"off"`` it skips the
 eigendecomposition and reports NaN for both.
+
+The factorization is ``scipy.linalg``'s, imported by the first
+factorization in a process, not with this module, so that a process that
+never solves (``simulate``, ``--help``, an argument error) does not load
+scipy; see ``kernels`` for the start-up times this saves.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
 from .kernels import _finite, _floats, _row_blocks
@@ -98,6 +102,20 @@ def _parse_jitter(jitter_policy, what: str = "jitter_policy") -> float:
     return jitter
 
 
+def cho_factor(a, **kwargs):
+    """``scipy.linalg.cho_factor``; the first call in a process imports scipy.linalg."""
+    from scipy import linalg
+
+    return linalg.cho_factor(a, **kwargs)
+
+
+def cho_solve(c_and_lower, b, **kwargs):
+    """``scipy.linalg.cho_solve``; the first call in a process imports scipy.linalg."""
+    from scipy import linalg
+
+    return linalg.cho_solve(c_and_lower, b, **kwargs)
+
+
 def _cholesky(K: np.ndarray, lam: float):
     """The lower Cholesky factor of K + lam*I, made in one copy of K, freed if it fails.
 
@@ -153,7 +171,7 @@ def solve_spd(
     for lam in ladder:
         try:
             factor = _cholesky(K, lam)
-        except LinAlgError:
+        except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is this class
             continue
         return SolveReport(
             coefficients=cho_solve(factor, b, check_finite=False),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -483,6 +485,33 @@ def test_out_of_memory_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch
     assert captured.out == ""
     assert captured.err == "error: out of memory: Unable to allocate 14.6 TiB for an array\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_n", [2**59, 2**62, 2**63 - 1])
+@pytest.mark.parametrize("command", ["fit", "mocap"])
+def test_a_grid_past_numpys_largest_array_is_out_of_memory(tmp_path, capsys, monkeypatch, command, grid_n):
+    # refused before any input is read or any array allocated: exit 3, one error line, no files
+    commands = _fit_and_mocap_inputs(tmp_path)
+    reads = []
+    monkeypatch.setattr(kio, "read_trajectory_csv", lambda path: reads.append(path))
+    monkeypatch.setattr(cli, "read_marker_csv", lambda path: reads.append(path))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{command}]\ngrid_n = {grid_n}\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["--config", str(cfg), "--out", str(out), *commands[command]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"a {grid_n} x {grid_n} grid exceeds numpy's largest array"
+    assert captured.err == f"error: out of memory: {message}\n"
+    assert not out.exists() and reads == []
+    assert peak < 1 << 20
 
 
 def test_mocap_failing_after_the_angles_writes_nothing(tmp_path):

@@ -1,0 +1,61 @@
+"""scipy is imported on first use: by the first distance query or factorization.
+
+Each check runs in a fresh interpreter, since this one has scipy loaded
+by the tests themselves.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kernelkoop
+
+# Runs each step in turn and prints, after each, the scipy modules loaded so far.
+_CHILD = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+out, bad = sys.argv[1], sys.argv[2]
+loaded = {}
+import kernelkoop
+loaded["import kernelkoop"] = (None, scipy_modules())
+import kernelkoop.cli as cli, kernelkoop.io
+loaded["import kernelkoop.cli, kernelkoop.io"] = (None, scipy_modules())
+for name, argv in [
+    ("simulate", ["--out", out, "simulate"]),
+    ("--help", ["--help"]),
+    ("config error", ["--config", bad, "--out", out, "fit"]),
+    ("fit", ["--out", out, "fit"]),
+]:
+    loaded[name] = (run(argv), scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_is_loaded_by_the_first_computation_only(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[fit]\neta = abc\n")
+    env = dict(os.environ)
+    src = str(Path(kernelkoop.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(tmp_path / "out"), str(bad)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(done.stdout)
+    fit_code, after_fit = loaded.pop("fit")
+    assert {step: modules for step, (_, modules) in loaded.items()} == dict.fromkeys(loaded, [])
+    assert [code for code, _ in loaded.values()] == [None, None, 0, 0, 2]
+    assert fit_code == 0
+    assert {"scipy.linalg", "scipy.spatial"} <= set(after_fit)

@@ -426,6 +426,34 @@ def test_matern_scale_cap_keeps_the_bits_of_every_finite_scale(convention):
         assert _profile(spec, r).tobytes() == ((1.0 + s) * np.exp(-s)).tobytes()
 
 
+def _six_pass_matern(spec, r):
+    """The Matern profile as six array passes over s = scale * r, the oracle of the five-pass one."""
+    out = np.empty(np.shape(r))
+    scale = min(math.sqrt(3.0) / spec.beta, np.finfo(float).max)
+    plain = spec.distance_convention is DistanceConvention.PLAIN
+    with np.errstate(over="ignore"):
+        s = np.multiply(scale, r if plain else np.multiply(r, r, out=out), out=out)
+    e = np.negative(np.minimum(s, 746.0, out=s), out=np.empty_like(s))
+    np.exp(e, out=e)
+    s += 1.0
+    s *= e
+    return s
+
+
+@pytest.mark.parametrize("beta", [1.0, 1e-310])
+@pytest.mark.parametrize("convention", ["plain", "squared"])
+def test_matern_profile_has_the_bits_of_the_six_pass_formula(convention, beta):
+    spec = KernelSpec("matern", beta=beta, distance_convention=convention)
+    r = np.array([0.0, 745.2, 1e308, np.inf, 1e-320, 0.5, 1.0, 30.0])
+    expected = _six_pass_matern(spec, r)
+    assert _profile(spec, r).tobytes() == expected.tobytes()
+    # in place, as kernel_matrix calls it, and on the diagonal's 0-d distance
+    inplace = r.copy()
+    assert _profile(spec, inplace, out=inplace).tobytes() == expected.tobytes()
+    zero = np.float64(0.0)
+    assert _profile(spec, zero).tobytes() == _six_pass_matern(spec, zero).tobytes()
+
+
 def test_trajectory_dataset_is_owned_by_kernels_and_re_exported_by_koopman():
     import kernelkoop.kernels
     import kernelkoop.koopman

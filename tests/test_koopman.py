@@ -289,6 +289,23 @@ def test_edmd_rank_deficient_warns_minimum_norm():
     np.testing.assert_allclose(op.A, np.full((2, 2), 0.5), atol=1e-12)
 
 
+def test_kernel_sections_take_records_as_points():
+    ds = simulate(PendulumConfig(steps=40))
+    centers = subselect_centers(ds, 0.3)
+    assert kernel_sections(MATERN1, centers, ds).tobytes() == kernel_matrix(MATERN1, centers, ds.x).tobytes()
+    queries = PointSet(ds.x_next[::3])
+    expected = kernel_matrix(MATERN1, centers, queries.points.copy())
+    assert kernel_sections(MATERN1, centers, queries).tobytes() == expected.tobytes()
+    # the centers as points, as a record or one array twice: the cross matrix, so a repeated
+    # center is no error
+    repeated = PointSet(np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]]))
+    expected = kernel_matrix(MATERN1, repeated, repeated.points.copy())
+    for same in (repeated, repeated.points):
+        assert kernel_sections(MATERN1, same, same).tobytes() == expected.tobytes()
+    # a 1-D array is still one point
+    assert kernel_sections(MATERN1, centers, ds.x[0]).shape == (len(centers), 1)
+
+
 def test_edmd_apply_trivial_operators():
     rng = np.random.default_rng(31)
     centers = PointSet(rng.uniform(size=(5, 2)), indices=np.arange(5))
