@@ -114,7 +114,7 @@ def separation(centers) -> float:
     c = _points(centers, "centers")
     if c.shape[0] < 2:
         raise DegenerateInputError("separation needs at least 2 centers")
-    return 0.5 * float(_pairwise(c, "centers").min())
+    return 0.5 * min(float(panel.min()) for _, panel in _pairwise(c, "centers"))
 
 
 def eta_for_center_count(trajectory, count: int) -> float:

@@ -18,12 +18,9 @@ convention that feeds ``r^2`` into the same profile.  The squared variant
 is not guaranteed positive definite and exists only so runs using that
 convention can be compared; PLAIN is the default everywhere.
 
-Distances come from ``scipy.spatial.distance``, imported by the first
-distance query in a process, not with this module.  Importing scipy is
-most of a paper-scale CLI run, and ``simulate``, ``--help`` and argument
-errors measure no distance: without it ``simulate`` takes 0.30 s, not
-0.78 s, and ``--help`` 0.19 s, not 0.53 s (medians of 15 alternating
-subprocesses on 2 vCPUs).  The first query pays the import instead.
+Distances come from ``scipy.spatial.distance.cdist``, imported by the
+first distance query in a process, not with this module, so that
+``simulate``, ``--help`` and argument errors do not load scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -322,31 +319,35 @@ def _row_blocks(m: int, cols: int) -> list[slice]:
     return [slice(s, s + rows) for s in range(0, max(m, 1), rows)]
 
 
-def _distance():
-    """``scipy.spatial.distance``, imported by the first call in a process."""
-    from scipy.spatial import distance
+def _cdist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``scipy.spatial.distance.cdist(a, b, out=out)``, scipy imported by the first call."""
+    from scipy.spatial.distance import cdist
 
-    return distance
+    return cdist(a, b, out=out)
 
 
 def _far(point: np.ndarray, states: np.ndarray, eta: float) -> np.ndarray:
     """The mask of the ``states`` more than ``eta`` from ``point``, a (d,) array."""
-    return _distance().cdist(point[None], states)[0] > eta
+    return _cdist(point[None], states)[0] > eta
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Each point's distance to its nearest center, one row block of points at a time."""
-    cdist = _distance().cdist
     blocks = _row_blocks(len(points), len(centers))
-    return np.concatenate([cdist(points[blk], centers).min(axis=1) for blk in blocks])
+    return np.concatenate([_cdist(points[blk], centers).min(axis=1) for blk in blocks])
 
 
-def _pairwise(points: np.ndarray, what: str) -> np.ndarray:
-    """The condensed pairwise distances of ``points``; a zero among them raises."""
-    dist = _distance().pdist(points)
-    if dist.size and float(dist.min()) == 0.0:
-        raise DegenerateInputError(f"{what} must be pairwise distinct")
-    return dist
+def _pairwise(points: np.ndarray, what: str) -> Iterator[tuple[slice, np.ndarray]]:
+    """Upper row panels ``(blk, cdist(points[blk], points[blk.start:]))``; a zero raises.
+
+    A panel's diagonal, a point against itself, holds inf.
+    """
+    for blk in _row_blocks(len(points), len(points)):
+        panel = _cdist(points[blk], points[blk.start:])
+        np.fill_diagonal(panel, np.inf)
+        if float(panel.min()) == 0.0:
+            raise DegenerateInputError(f"{what} must be pairwise distinct")
+        yield blk, panel
 
 
 def _profile(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -402,11 +403,11 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Assemble the matrix [K(a_i, b_j)] for two point sets.
 
     Passing the same object as A and B (``B is A``) asks for the Gram
-    matrix: it is assembled from the pairwise distances once, so it is
-    exactly symmetric, and the points are required to be pairwise
-    distinct (the matrix would be singular otherwise).  Any other pair is
-    assembled as a cross matrix, even when the two hold equal points.
-    Every coordinate must be finite.
+    matrix: each upper row panel of pairwise distances is profiled once
+    and written with its transpose, so K is exactly symmetric, and the
+    points are required to be pairwise distinct (the matrix would be
+    singular otherwise).  Any other pair is assembled as a cross matrix,
+    even when the two hold equal points.  Every coordinate must be finite.
 
     Both are assembled in blocks of at most ``_MAX_ENTRIES`` distances, so
     the memory beside the output does not grow with the number of points;
@@ -420,15 +421,15 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}"
         )
     if not gram:
-        cdist = _distance().cdist
         out = np.empty((pa.shape[0], pb.shape[0]))
         for blk in _row_blocks(*out.shape):
-            cdist(pa[blk], pb, out=out[blk])
+            _cdist(pa[blk], pb, out=out[blk])
             _profile(spec, out[blk], out=out[blk])
         return out
-    dist = _pairwise(pa, "kernel centers")
-    for blk in _row_blocks(dist.size, 1):
-        _profile(spec, dist[blk], out=dist[blk])
-    K = _distance().squareform(dist)
+    K = np.empty((len(pa), len(pa)))
+    for blk, panel in _pairwise(pa, "kernel centers"):
+        _profile(spec, panel, out=panel)
+        K[blk, blk.start:] = panel
+        K[blk.start:, blk] = panel.T
     np.fill_diagonal(K, _profile(spec, np.float64(0.0)))
     return K

@@ -10,7 +10,7 @@ eigendecomposition and reports NaN for both.
 The factorization is ``scipy.linalg``'s, imported by the first
 factorization in a process, not with this module, so that a process that
 never solves (``simulate``, ``--help``, an argument error) does not load
-scipy; see ``kernels`` for the start-up times this saves.
+scipy; the README gives the start-up times this saves.
 """
 
 from __future__ import annotations

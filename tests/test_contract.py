@@ -15,6 +15,11 @@ six commands, exits 0, 2, 3 or 4; a failure prints exactly one ``error:``
 line and creates no output directory; a success writes no non-finite
 cell, except the documented ``separation = nan`` of a fit with one center
 and ``cond = inf`` beside a ``lambda_min`` <= 0.
+
+Marker files: with one to three cells of a good file replaced by a bad
+one, removed or doubled, ``read_marker_csv`` returns frames or raises
+``CsvFormatError``, and ``mocap`` exits 0, or 4 with one ``error:`` line
+and no output directory.
 """
 
 import contextlib
@@ -31,6 +36,7 @@ from hypothesis import strategies as st
 
 from conftest import synthetic_gait_frames, write_marker_csv
 from kernelkoop import (
+    CsvFormatError,
     KernelKoopError,
     KernelSpec,
     KoopmanEstimate,
@@ -56,6 +62,7 @@ from kernelkoop import (
     observable_G,
     predict,
     project_sagittal,
+    read_marker_csv,
     separation,
     simulate,
     solve_spd,
@@ -297,3 +304,44 @@ def test_cli_keeps_the_failure_contract(inputs, command, overrides):
     else:
         assert not errors
         assert _non_finite_cells(run / "out") == []
+
+
+# text, empty, non-finite, overflowing, underscored, and as t fractional or past int64;
+# None removes the cell and "+" doubles it
+_MARKER_CELLS = ["abc", "", "nan", "inf", "-inf", "1e400", "1_0", "0.5", "9223372036854775808",
+                 None, "+"]
+
+
+@FUZZ
+@given(st.lists(
+    st.tuples(st.integers(1, 60), st.integers(0, 9), st.sampled_from(_MARKER_CELLS)),
+    min_size=1, max_size=3, unique_by=lambda edit: edit[0],
+))
+@example(edits=[(5, 0, "0.5")])  # a fractional frame index
+@example(edits=[(5, 3, None), (9, 9, "+")])  # a short row and a long one
+def test_marker_files_keep_the_failure_contract(inputs, edits):
+    lines = (inputs / "markers.csv").read_text("utf-8").splitlines()
+    for row, col, cell in edits:
+        cells = lines[row].split(",")
+        if cell is None:
+            del cells[col]
+        elif cell == "+":
+            cells.insert(col, cells[col])
+        else:
+            cells[col] = cell
+        lines[row] = ",".join(cells)
+    run = Path(tempfile.mkdtemp(dir=inputs))
+    markers = run / "markers.csv"
+    markers.write_text("\n".join(lines) + "\n", "utf-8")
+    try:
+        frames = read_marker_csv(markers)
+    except CsvFormatError:
+        frames = None
+    else:
+        assert isinstance(frames, MarkerFrame)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--out", str(run / "out"), "mocap", "--markers", str(markers)])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code == (4 if frames is None else 0), err.getvalue()
+    assert len(errors) == (1 if code else 0) and (run / "out").exists() == (not code)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from conftest import reference_subselect
 from kernelkoop import (
@@ -200,6 +200,14 @@ def test_fill_distance_is_exact_and_chunked():
     fill, peak = _peak_bytes(fill_distance, centers, reference)
     assert fill == cdist(reference, centers).min(axis=1).max()
     assert peak < 16 * MiB
+
+
+def test_separation_memory_is_one_distance_panel():
+    # the 5500 x 5499 / 2 condensed distances alone are 115 MiB
+    centers = np.random.default_rng(23).uniform(-1.0, 1.0, size=(5500, 2))
+    q, peak = _peak_bytes(separation, centers)
+    assert q == 0.5 * pdist(centers).min()
+    assert peak < 4 * MiB
 
 
 def test_fill_distance_has_the_bits_of_one_cdist_at_block_edges():

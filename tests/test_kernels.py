@@ -26,6 +26,7 @@ from kernelkoop import (
     fill_distance,
     kernel_matrix,
     predict,
+    separation,
     simulate,
 )
 from kernelkoop.kernels import _MAX_ENTRIES, _profile, _row_blocks
@@ -535,15 +536,44 @@ def test_blocked_cross_matrix_has_the_bits_of_one_cdist_and_profile(spec):
         assert kernel_matrix(spec, B, A).tobytes() == _profile(spec, cdist(B, A)).tobytes(), count
 
 
-@pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_block_id)
-def test_chunked_gram_has_the_bits_of_one_profile_of_pdist(spec):
-    # M = 513 has 131328 distinct pairs, one chunk of 2^17 and a short one
-    points = np.random.default_rng(6).uniform(-1.0, 1.0, size=(513, 2))
-    dist = pdist(points)
-    assert len(_row_blocks(dist.size, 1)) == 2
-    expected = squareform(_profile(spec, dist))
+def _pdist_gram(spec, points):
+    """The Gram as one profile of the condensed distances, squared out, with K(x, x) on the diagonal."""
+    expected = squareform(_profile(spec, pdist(points)))
     np.fill_diagonal(expected, _profile(spec, np.float64(0.0)))
-    assert kernel_matrix(spec, points, points).tobytes() == expected.tobytes()
+    return expected
+
+
+@pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_block_id)
+def test_chunked_gram_has_the_bits_of_one_profile_of_pdist(spec, monkeypatch):
+    # M = 513 is read in three upper row panels of 248, 248 and 17 rows
+    rng = np.random.default_rng(6)
+    points = rng.uniform(-1.0, 1.0, size=(513, 2))
+    assert [(b.start, b.stop) for b in _row_blocks(513, 513)] == [(0, 248), (248, 496), (496, 744)]
+    assert kernel_matrix(spec, points, points).tobytes() == _pdist_gram(spec, points).tobytes()
+    # 8-row panels: one row short of, at and one row past the first three panel edges
+    monkeypatch.setattr(kernelkoop.kernels, "_MAX_ENTRIES", 8)
+    for m in (7, 8, 9, 15, 16, 17, 23, 24, 25, 1954):
+        points = rng.uniform(-1.0, 1.0, size=(m, 2))
+        assert len(_row_blocks(m, m)) == -(-m // 8), m
+        assert kernel_matrix(spec, points, points).tobytes() == _pdist_gram(spec, points).tobytes(), m
+        assert separation(points) == 0.5 * pdist(points).min(), m
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(2, 5), (3, 12), (0, 19), (18, 19)],
+    ids=["one-panel", "two-panels", "first-and-last-row", "last-panel"],
+)
+@pytest.mark.parametrize("rows", [8, None], ids=["8-row-panels", "default-panels"])
+def test_duplicates_raise_wherever_the_panels_put_them(pair, rows, monkeypatch):
+    if rows:
+        monkeypatch.setattr(kernelkoop.kernels, "_MAX_ENTRIES", rows)
+    points = np.random.default_rng(9).uniform(-1.0, 1.0, size=(20, 3))
+    points[pair[1]] = points[pair[0]]
+    with pytest.raises(DegenerateInputError, match="^kernel centers must be pairwise distinct$"):
+        kernel_matrix(KernelSpec("wendland_c2"), points, points)
+    with pytest.raises(DegenerateInputError, match="^centers must be pairwise distinct$"):
+        separation(points)
 
 
 @pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_block_id)
@@ -562,6 +592,21 @@ def test_cross_matrix_memory_beside_its_output_does_not_grow_with_the_rows(spec)
         assert peak - K.nbytes < 8 * _MAX_ENTRIES * 8, m
 
 
+@pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_block_id)
+def test_gram_memory_beside_its_output_does_not_grow_with_the_points(spec):
+    # a condensed distance array beside K is half a K: 14.6 MiB at M = 2000
+    rng = np.random.default_rng(10)
+    for m in (500, 2_000):
+        points = rng.uniform(-1.0, 1.0, size=(m, 2))
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(spec, points, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - K.nbytes < 8 * _MAX_ENTRIES * 8, m
+
+
 def _imported(node) -> list[str]:
     """The dotted names an import statement brings in, each with its module."""
     if isinstance(node, ast.Import):
@@ -572,8 +617,8 @@ def _imported(node) -> list[str]:
 
 
 def test_only_kernels_computes_distances():
-    # one distance owner: kernels imports scipy.spatial at one place, and no other module
-    # names a scipy distance function; geometry imports nothing from scipy at all
+    # one distance owner: kernels imports scipy.spatial at one place and names no distance
+    # function but cdist, no other module names one; geometry imports nothing from scipy at all
     spatial = []
     for path in sorted(Path(kernelkoop.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
@@ -582,10 +627,10 @@ def test_only_kernels_computes_distances():
                 spatial.append(path.name)
             if path.name == "geometry.py":
                 assert not any(name.startswith("scipy") for name in names), node.lineno
-            if path.name != "kernels.py":
-                assert not {"cdist", "pdist", "squareform"} & {
-                    getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
-                }, (path.name, getattr(node, "lineno", None))
+            named = {"cdist"} if path.name == "kernels.py" else set()
+            assert not ({"cdist", "pdist", "squareform"} - named) & {
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+            }, (path.name, getattr(node, "lineno", None))
     assert spatial == ["kernels.py"]
 
 

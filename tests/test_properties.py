@@ -5,6 +5,7 @@ the CSV round trips and the joint-angle kernel."""
 
 import math
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
+import kernelkoop.kernels
 from conftest import column_bits, reference_joint_angles, reference_subselect, reference_table
 from kernelkoop import (
     DegenerateInputError,
@@ -40,6 +42,7 @@ from kernelkoop import (
     nested_center_sets,
     predict,
     project_sagittal,
+    separation,
     simulate,
     solve_spd,
     subselect_centers,
@@ -87,6 +90,25 @@ def test_gram_matches_pointwise_kernel_and_cross_path(spec, pts):
     assert K.tobytes() == kernel_matrix(spec, pts, pts.copy()).tobytes()
     expected = [[eval_kernel(spec, a, b) for b in pts] for a in pts]
     assert K.tobytes() == np.array(expected).tobytes()
+
+
+@settings(FEW, max_examples=60)
+@given(
+    st.one_of(kernels, st.just(KernelSpec("matern", distance_convention="squared"))),
+    st.tuples(st.integers(2, 40), st.integers(1, 3)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=coords, unique=True)
+    ),
+)
+@example(KernelSpec("wendland_c4"), np.linspace(0.0, 2.0, 16)[:, None])  # two full panels
+@example(KernelSpec("matern"), np.linspace(0.0, 2.0, 17)[:, None])  # and one row past them
+def test_panel_gram_and_separation_have_the_bits_of_pdist(spec, pts):
+    dist = pdist(pts)
+    assume(dist.min() > 0)
+    expected = squareform(_profile(spec, dist))
+    np.fill_diagonal(expected, _profile(spec, np.float64(0.0)))
+    with mock.patch.object(kernelkoop.kernels, "_MAX_ENTRIES", 8):  # panels of 8 rows
+        assert kernel_matrix(spec, pts, pts).tobytes() == expected.tobytes()
+        assert separation(pts) == 0.5 * dist.min()
 
 
 # The truncated Wendland polynomials evaluated on every entry, as a dense formula.
