@@ -114,7 +114,9 @@ def separation(centers) -> float:
     c = _points(centers, "centers")
     if c.shape[0] < 2:
         raise DegenerateInputError("separation needs at least 2 centers")
-    return 0.5 * min(float(panel.min()) for _, panel in _pairwise(c, "centers"))
+    minima = []  # one per panel, appended by whichever thread took it
+    _pairwise(c, "centers", lambda blk, panel: minima.append(float(panel.min())))
+    return 0.5 * min(minima)
 
 
 def eta_for_center_count(trajectory, count: int) -> float:

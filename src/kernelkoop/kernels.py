@@ -21,14 +21,28 @@ convention can be compared; PLAIN is the default everywhere.
 Distances come from ``scipy.spatial.distance.cdist``, imported by the
 first distance query in a process, not with this module, so that
 ``simulate``, ``--help`` and argument errors do not load scipy.
+
+Distance queries run in blocks of rows (``_row_blocks``), and a query of
+more than one block shares its blocks between the calling thread and at
+most one helper thread (``_each``): two threads when the process may use
+two or more CPUs, none beside the caller on one CPU.  Every block writes
+only its own rows, so the number of threads changes no bit.  There is no
+option for it; ``taskset -c 0`` (or any affinity mask of one CPU) keeps a
+process to one thread.  The greedy subselection query ``_far`` runs in
+the calling thread alone.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import enum
+import functools
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -39,6 +53,14 @@ _SQRT3 = math.sqrt(3.0)
 # whatever the number of points, so that a block's distances and the two
 # temporaries of its profile stay near a core's L2 cache.
 _MAX_ENTRIES = 1 << 17
+# The helper threads of `_each`, started by the first query it shares, and their
+# queue of jobs, one `_READY` release per job.  `_LOCAL.busy` marks a thread
+# that is running an item of `_each`.
+_HELPERS: list[threading.Thread] = []
+_STARTING = threading.Lock()
+_JOBS: collections.deque[_Job] = collections.deque()
+_READY = threading.Semaphore(0)
+_LOCAL = threading.local()
 
 
 class KernelFamily(enum.Enum):
@@ -319,6 +341,117 @@ def _row_blocks(m: int, cols: int) -> list[slice]:
     return [slice(s, s + rows) for s in range(0, max(m, 1), rows)]
 
 
+def _participants() -> int:
+    """Threads that share a blocked query: the CPUs this process may use, at most 2.
+
+    Two is the most this was measured with (a 2-vCPU host).  A thread that is
+    running an item of ``_each`` shares nothing further: 1.
+    """
+    if getattr(_LOCAL, "busy", False):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
+
+
+def _blocks(m: int, cols: int) -> list[slice]:
+    """Row blocks of an elementwise (m, cols) query, for ``_each`` to share among n participants.
+
+    They are the blocks of an (m, n * cols) array, so the n blocks in flight
+    hold no more entries than one block of a query run in one thread.
+    """
+    return _row_blocks(m, cols * _participants())
+
+
+def _each(fn, items: list) -> None:
+    """Call ``fn`` on every item, in this thread and ``_participants() - 1`` helper threads.
+
+    Each participant takes the next item from one shared iterator until none
+    is left, so ``fn`` must write only what its item owns.  One participant,
+    or one item, is a plain loop.  The first exception stops every
+    participant from taking a further item and is raised here once they have
+    all stopped.  A helper that has not started by the time this thread runs
+    out of items is left out, so a busy pool never blocks the caller.
+    Helpers run in a copy of the caller's context, so numpy's ``errstate``
+    holds in them too.
+    """
+    n = min(len(items), _participants())
+    if n < 2:
+        for item in items:
+            fn(item)
+        return
+    todo = iter(items)  # next() on a list iterator is atomic under the GIL
+    errors = []
+
+    def drain():
+        _LOCAL.busy = True
+        try:
+            for item in todo:
+                if errors:
+                    break
+                fn(item)
+        except BaseException as exc:  # raised in the caller once every participant stops
+            errors.append(exc)
+        finally:
+            _LOCAL.busy = False
+
+    with _STARTING:
+        while len(_HELPERS) < n - 1:
+            _HELPERS.append(threading.Thread(target=_helper, name="kernelkoop-helper", daemon=True))
+            _HELPERS[-1].start()
+    jobs = [_Job(functools.partial(contextvars.copy_context().run, drain)) for _ in range(n - 1)]
+    drain()
+    try:
+        for job in jobs:
+            job.join()
+    except BaseException as exc:  # interrupted while waiting: the helpers stop too
+        errors.append(exc)
+        raise
+    if errors:
+        raise errors[0]
+
+
+class _Job:
+    """A helper's share of an ``_each`` call, queued for the helper threads.
+
+    Whoever acquires ``claim`` first owns the job: a helper runs it and then
+    releases ``finished``; the caller, by claiming it, takes it back unrun.
+    Either way the job lets go of ``work``, so a queued job keeps no array alive.
+    """
+
+    def __init__(self, work) -> None:
+        self.work = work
+        self.claim, self.finished = threading.Lock(), threading.Lock()
+        self.finished.acquire()
+        _JOBS.append(self)
+        _READY.release()
+
+    def run(self) -> None:
+        """In a helper thread: do the work unless the caller took the job back."""
+        if self.claim.acquire(blocking=False):
+            try:
+                self.work()
+            finally:
+                self.work = None
+                self.finished.release()
+
+    def join(self) -> None:
+        """In the caller, out of items: take the job back, or wait for the helper running it."""
+        if self.claim.acquire(blocking=False):
+            self.work = None
+        else:
+            self.finished.acquire()
+
+
+def _helper() -> None:
+    """A helper thread: run the queued jobs one at a time, idle in between."""
+    while True:
+        _READY.acquire()
+        _JOBS.popleft().run()
+
+
 def _cdist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``scipy.spatial.distance.cdist(a, b, out=out)``, scipy imported by the first call."""
     from scipy.spatial.distance import cdist
@@ -333,21 +466,29 @@ def _far(point: np.ndarray, states: np.ndarray, eta: float) -> np.ndarray:
 
 def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Each point's distance to its nearest center, one row block of points at a time."""
-    blocks = _row_blocks(len(points), len(centers))
-    return np.concatenate([_cdist(points[blk], centers).min(axis=1) for blk in blocks])
+    out = np.empty(len(points))
+
+    def block(blk):
+        _cdist(points[blk], centers).min(axis=1, out=out[blk])
+
+    _each(block, _blocks(len(points), len(centers)))
+    return out
 
 
-def _pairwise(points: np.ndarray, what: str) -> Iterator[tuple[slice, np.ndarray]]:
-    """Upper row panels ``(blk, cdist(points[blk], points[blk.start:]))``; a zero raises.
+def _pairwise(points: np.ndarray, what: str, fn) -> None:
+    """Call ``fn(blk, cdist(points[blk], points[blk.start:]))`` on each upper row panel.
 
-    A panel's diagonal, a point against itself, holds inf.
+    The panels go through ``_each``.  A panel's diagonal, a point against
+    itself, holds inf; a zero elsewhere raises before ``fn`` sees the panel.
     """
-    for blk in _row_blocks(len(points), len(points)):
-        panel = _cdist(points[blk], points[blk.start:])
-        np.fill_diagonal(panel, np.inf)
-        if float(panel.min()) == 0.0:
+    def panel(blk):
+        dist = _cdist(points[blk], points[blk.start:])
+        np.fill_diagonal(dist, np.inf)
+        if float(dist.min()) == 0.0:
             raise DegenerateInputError(f"{what} must be pairwise distinct")
-        yield blk, panel
+        fn(blk, dist)
+
+    _each(panel, _blocks(len(points), len(points)))
 
 
 def _profile(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -409,9 +550,11 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     singular otherwise).  Any other pair is assembled as a cross matrix,
     even when the two hold equal points.  Every coordinate must be finite.
 
-    Both are assembled in blocks of at most ``_MAX_ENTRIES`` distances, so
-    the memory beside the output does not grow with the number of points;
-    distances and profile are elementwise, so the blocks change no bit.
+    Both are assembled in blocks of at most ``_MAX_ENTRIES`` distances,
+    shared by ``_each``'s threads, so the memory beside the output does not
+    grow with the number of points; distances and profile are elementwise
+    and each block writes its own entries, so neither the blocks nor the
+    threads change a bit.
     """
     gram = B is A
     pa = _points(A, "kernel points")
@@ -422,14 +565,20 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
         )
     if not gram:
         out = np.empty((pa.shape[0], pb.shape[0]))
-        for blk in _row_blocks(*out.shape):
+
+        def block(blk):
             _cdist(pa[blk], pb, out=out[blk])
             _profile(spec, out[blk], out=out[blk])
+
+        _each(block, _blocks(*out.shape))
         return out
     K = np.empty((len(pa), len(pa)))
-    for blk, panel in _pairwise(pa, "kernel centers"):
+
+    def write(blk, panel):  # the panels' rows, and so their transposes' columns, are disjoint
         _profile(spec, panel, out=panel)
         K[blk, blk.start:] = panel
         K[blk.start:, blk] = panel.T
+
+    _pairwise(pa, "kernel centers", write)
     np.fill_diagonal(K, _profile(spec, np.float64(0.0)))
     return K

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .kernels import (
-    KernelSpec, PointSet, TrajectoryDataset, _finite, _floats, _points, _row_blocks, as_points,
-    kernel_matrix,
+    KernelSpec, PointSet, TrajectoryDataset, _each, _finite, _floats, _points, _row_blocks,
+    as_points, kernel_matrix,
 )
 from .linsys import SolveReport, solve_spd
 
@@ -181,8 +181,11 @@ def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
 
     The queries go through in the row blocks of ``kernels._row_blocks``,
     whose kernel matrices hold at most ``_MAX_ENTRIES`` entries, so the
-    extra memory does not grow with m.  A query set that fits in one block
-    is one call of ``kernel_matrix(kernel, x, centers) @ alpha``.  Blocks
+    extra memory does not grow with m.  The blocks are shared by the
+    threads of ``kernels._each``; each thread multiplies the blocks it
+    built and writes their rows, so the threads change no bit.  A query
+    set that fits in one block is one call of
+    ``kernel_matrix(kernel, x, centers) @ alpha``.  Blocks
     are a multiple of 8 rows long, which keeps BLAS's grouping of rows
     wherever the block calls and the one-shot call split the rows alike;
     the result then has the one-shot bits, and otherwise agrees with them
@@ -201,9 +204,12 @@ def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
             f"query dimension {pts.shape[1]} does not match centers ({base.dim})"
         )
     out = np.empty((pts.shape[0], estimate.output_dim))
-    # an empty query set still makes one call, which rejects it
-    for blk in _row_blocks(pts.shape[0], len(base)):
+
+    def block(blk):
         out[blk] = kernel_matrix(estimate.kernel, pts[blk], base.points) @ estimate.alpha
+
+    # an empty query set still makes one call, which rejects it
+    _each(block, _row_blocks(pts.shape[0], len(base)))
     return out[0] if single else out
 
 

@@ -59,3 +59,51 @@ def test_scipy_is_loaded_by_the_first_computation_only(tmp_path):
     assert [code for code, _ in loaded.values()] == [None, None, 0, 0, 2]
     assert fit_code == 0
     assert {"scipy.linalg", "scipy.spatial"} <= set(after_fit)
+
+
+# Runs each step in turn and prints, after each, the threads alive and whether a
+# module of concurrent.futures is loaded; then a query of many blocks, after which
+# the helper threads number one less than the CPUs the process may use, at most 1
+# (scipy, loaded by the query, imports concurrent.futures itself).
+_THREADS_CHILD = """
+import contextlib, io, json, os, sys, threading
+
+def state():
+    return threading.active_count(), any(m.split(".")[0] == "concurrent" for m in sys.modules)
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+seen = {}
+import kernelkoop
+seen["import kernelkoop"] = state()
+import kernelkoop.cli as cli
+for name, argv in [("simulate", ["--out", sys.argv[1], "simulate"]), ("--help", ["--help"])]:
+    run(argv)
+    seen[name] = state()
+import numpy as np
+points = np.random.default_rng(0).uniform(size=(3000, 2))
+kernelkoop.kernel_matrix(kernelkoop.KernelSpec("matern"), points, points)
+seen["a query of many blocks"] = state()
+seen["cpus"] = len(os.sched_getaffinity(0))
+print(json.dumps(seen))
+"""
+
+
+def test_no_thread_and_no_executor_before_a_query_of_many_blocks(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(kernelkoop.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_CHILD, str(tmp_path / "out")],
+        env=env, capture_output=True, encoding="utf-8", check=True,
+    )
+    seen = json.loads(done.stdout)
+    cpus = seen.pop("cpus")
+    shared = seen.pop("a query of many blocks")
+    assert seen == dict.fromkeys(seen, [1, False])
+    assert shared[0] == min(cpus, 2)

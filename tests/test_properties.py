@@ -34,6 +34,7 @@ from kernelkoop import (
     edmd_fit,
     eval_kernel,
     extract_angles,
+    fill_distance,
     fit_pullback,
     fit_umf,
     joint_angles,
@@ -109,6 +110,33 @@ def test_panel_gram_and_separation_have_the_bits_of_pdist(spec, pts):
     with mock.patch.object(kernelkoop.kernels, "_MAX_ENTRIES", 8):  # panels of 8 rows
         assert kernel_matrix(spec, pts, pts).tobytes() == expected.tobytes()
         assert separation(pts) == 0.5 * dist.min()
+
+
+@settings(FEW, max_examples=40)
+@given(
+    kernels,
+    st.tuples(st.integers(2, 40), st.integers(1, 3)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=coords, unique=True)
+    ),
+    st.sampled_from([2, 3]),
+)
+@example(KernelSpec("wendland_c4"), np.linspace(0.0, 2.0, 33)[:, None], 3)  # 5 panels, 3 threads
+def test_panel_gram_separation_and_fill_keep_their_bits_with_more_threads(spec, pts, n):
+    assume(pdist(pts).min() > 0)
+
+    def queries():
+        return (
+            kernel_matrix(spec, pts, pts).tobytes(),
+            kernel_matrix(spec, pts, pts[::3]).tobytes(),
+            separation(pts),
+            fill_distance(pts[::3], pts),
+        )
+
+    with mock.patch.object(kernelkoop.kernels, "_MAX_ENTRIES", 8):  # blocks of 8 rows
+        with mock.patch.object(kernelkoop.kernels, "_participants", lambda: 1):
+            alone = queries()
+        with mock.patch.object(kernelkoop.kernels, "_participants", lambda: n):
+            assert queries() == alone
 
 
 # The truncated Wendland polynomials evaluated on every entry, as a dense formula.
