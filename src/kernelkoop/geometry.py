@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .kernels import PointSet, _far, _integers, _nearest, _pairwise, _points, _time_indices
+from .kernels import PointSet, _Strip, _integers, _nearest, _pairwise, _points, _time_indices
 
 # Halvings of the eta bracket in `eta_for_center_count` before it gives up.
 _BISECTIONS = 200
@@ -38,14 +38,10 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
     center sets); seeded points are returned first, in their given order.
 
     Each seed rules out every state within ``eta`` of it, and each kept
-    state the later ones; both ask the distance query ``kernels._far``.
+    state the later ones; both ask the strip query ``kernels._Strip``.
     """
     eta = _eta(eta)
     states = _points(trajectory, "trajectory")
-    indices = _time_indices(trajectory)
-
-    points, kept = [], []
-    alive = np.ones(states.shape[0], dtype=bool)
     if seed_centers is not None:
         if not isinstance(seed_centers, PointSet):
             raise InvalidArgumentError(
@@ -57,17 +53,23 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
             )
         if seed_centers.indices is None:
             raise InvalidArgumentError("seed centers must carry trajectory indices")
-        points, kept = [seed_centers.points], [seed_centers.indices]
-        for seed in seed_centers.points:
-            alive &= _far(seed, states, eta)
+    return _greedy(states, _time_indices(trajectory), _Strip(states), eta, seed_centers)
 
+
+def _greedy(states, indices, strip: _Strip, eta: float, seeds: PointSet | None) -> PointSet:
+    """``subselect_centers`` on validated arguments, with a strip of ``states`` to share."""
+    points, kept = [], []
+    alive = np.ones(states.shape[0], dtype=bool)
+    if seeds is not None:
+        points, kept = [seeds.points], [seeds.indices]
+        for seed in seeds.points:
+            alive[strip.near(seed, eta)] = False
     rows = []
-    i = 0
-    while alive[i:].any():
-        i += int(alive[i:].argmax())
+    i = int(alive.argmax())  # the first state left in play, if any is
+    while alive[i]:
         rows.append(i)
-        alive[i + 1:] &= _far(states[i], states[i + 1:], eta)
-        i += 1
+        alive[strip.near(states[i], eta)] = False  # state i too, at distance 0
+        i += int(alive[i:].argmax())
     return PointSet(
         np.concatenate(points + [states[rows]]),
         indices=np.concatenate(kept + [indices[rows]]),
@@ -86,10 +88,12 @@ def nested_center_sets(trajectory, etas: Sequence[float]) -> list[PointSet]:
         raise InvalidArgumentError(f"etas must be a sequence of numbers, got {etas!r}") from None
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise InvalidArgumentError("eta schedule must be strictly decreasing")
+    states = _points(trajectory, "trajectory")
+    indices, strip = _time_indices(trajectory), _Strip(states)
     sets: list[PointSet] = []
     seed = None
     for eta in etas:
-        seed = subselect_centers(trajectory, eta, seed_centers=seed)
+        seed = _greedy(states, indices, strip, eta, seed)
         sets.append(seed)
     return sets
 
@@ -132,8 +136,10 @@ def eta_for_center_count(trajectory, count: int) -> float:
     if count.ndim or not 1 <= count <= m:
         raise InvalidArgumentError(f"count must be in [1, {m}], got {count}")
 
+    indices, strip = _time_indices(trajectory), _Strip(states)
+
     def kept(eta: float) -> int:
-        return len(subselect_centers(trajectory, eta))
+        return len(_greedy(states, indices, strip, eta, None))
 
     lo = 1e-12
     # the bounding-box diagonal bounds the diameter of the states; past the float range

@@ -28,8 +28,10 @@ most one helper thread (``_each``): two threads when the process may use
 two or more CPUs, none beside the caller on one CPU.  Every block writes
 only its own rows, so the number of threads changes no bit.  There is no
 option for it; ``taskset -c 0`` (or any affinity mask of one CPU) keeps a
-process to one thread.  The greedy subselection query ``_far`` runs in
-the calling thread alone.
+process to one thread.  The greedy subselection's query, ``_Strip``,
+sorts the states once by their first coordinate and measures a point's
+distances only to the states whose first coordinate is within about
+``eta`` of its own, in the calling thread alone.
 """
 
 from __future__ import annotations
@@ -459,9 +461,32 @@ def _cdist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return cdist(a, b, out=out)
 
 
-def _far(point: np.ndarray, states: np.ndarray, eta: float) -> np.ndarray:
-    """The mask of the ``states`` more than ``eta`` from ``point``, a (d,) array."""
-    return _cdist(point[None], states)[0] > eta
+class _Strip:
+    """The states sorted by their first coordinate, for queries of the states near a point.
+
+    A state within ``eta`` of a point has its first coordinate within ``eta``
+    of the point's, so ``near`` measures only the states of that strip.
+    """
+
+    def __init__(self, states: np.ndarray) -> None:
+        self.order = np.argsort(states[:, 0], kind="stable")
+        self.states = states[self.order]
+        self.key = np.ascontiguousarray(self.states[:, 0])
+
+    def near(self, point: np.ndarray, eta: float) -> np.ndarray:
+        """The rows of the states whose ``cdist`` from ``point``, a (d,) array, is not > ``eta``.
+
+        The strip is padded past ``eta`` by more than the rounding of ``cdist``
+        can take off a distance: 1e-9 of it, 2**-50 * |point[0]| (4 eps) for
+        the coordinates, and 2**-500 for squares that underflow.  The pad is
+        a Python float, which overflows to inf unwarned: every state is then
+        in the strip.
+        """
+        p0 = float(point[0])
+        pad = float(eta) * (1.0 + 1e-9) + 2.0**-50 * abs(p0) + 2.0**-500
+        lo, hi = self.key.searchsorted(p0 - pad), self.key.searchsorted(p0 + pad, "right")
+        dist = _cdist(point[None], self.states[lo:hi])[0]
+        return self.order[lo:hi][~(dist > eta)]
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from kernelkoop import (
     simulate,
     subselect_centers,
 )
-from kernelkoop import geometry
+from kernelkoop import geometry, kernels
 from kernelkoop.kernels import _MAX_ENTRIES, _row_blocks
 
 MiB = 2**20
@@ -53,6 +53,14 @@ def test_subselect_gate_is_strict():
     # equal-distance candidates are rejected: distance must exceed eta
     centers = subselect_centers(np.array([0.0, 0.5, 1.0]), eta=0.5)
     assert centers.points[:, 0].tolist() == [0.0, 1.0]
+
+
+def test_subselect_rules_out_a_state_whose_squared_distance_underflows():
+    # cdist squares 1e-170 to 0.0, so the second state is not more than eta = 1e-300 from
+    # the first, though its first coordinate lies far outside [-eta, eta]
+    states = np.array([[0.0, 0.0], [1e-170, 0.0]])
+    points, kept = reference_subselect(states, 1e-300)
+    assert subselect_centers(states, 1e-300).indices.tolist() == kept.tolist() == [0]
 
 
 def test_pendulum_37_centers():
@@ -190,6 +198,23 @@ def test_subselect_memory_is_a_mask_and_a_distance_row():
     centers, peak = _peak_bytes(subselect_centers, dataset, 0.004)
     assert len(centers) == 1954
     assert peak < 1 * MiB
+
+
+@pytest.mark.parametrize("eta, count, bound", [(0.004, 1954, 20_000 * 1954 // 100), (0.231, 37, 738_489)])
+def test_subselect_measures_only_the_strips_of_the_kept_states(eta, count, bound, monkeypatch):
+    # a cdist row from each kept state to every later state is 3.6e7 distances at
+    # eta 0.004 and 7.4e5 at eta 0.231; the kept states' strips hold far fewer
+    dataset = simulate(PendulumConfig(steps=20_000))
+    computed = []
+    cdist_ = kernels._cdist
+
+    def counted(a, b, out=None):
+        computed.append(a.shape[0] * b.shape[0])
+        return cdist_(a, b, out=out)
+
+    monkeypatch.setattr(kernels, "_cdist", counted)
+    assert len(subselect_centers(dataset, eta)) == count
+    assert sum(computed) <= bound
 
 
 def test_fill_distance_is_exact_and_chunked():
@@ -335,7 +360,7 @@ def test_bad_geometry_arguments_fail_before_any_distance(call, monkeypatch):
     def refuse(*args):
         raise AssertionError("a distance was computed")
 
-    for name in ("_far", "_nearest", "_pairwise"):
+    for name in ("_Strip", "_nearest", "_pairwise"):
         monkeypatch.setattr(geometry, name, refuse)
     with pytest.raises(InvalidArgumentError):
         call()

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist, pdist, squareform
 
+import kernelkoop.geometry
 import kernelkoop.kernels
 from conftest import column_bits, reference_joint_angles, reference_subselect, reference_table
 from kernelkoop import (
@@ -32,6 +33,7 @@ from kernelkoop import (
     TrajectoryDataset,
     edmd_apply,
     edmd_fit,
+    eta_for_center_count,
     eval_kernel,
     extract_angles,
     fill_distance,
@@ -378,12 +380,17 @@ def test_integer_rule_rejects_every_other_value_naming_the_first(case):
 
 
 @st.composite
-def gated_states(draw, max_blocks=3):
-    """(states, eta): a random walk, or a dyadic grid whose distances often equal eta."""
+def gated_states(draw, max_blocks=3, grid=None):
+    """(states, eta): a random walk, or a dyadic grid whose distances often equal eta.
+
+    ``grid`` True or False picks one of the two; None draws it.
+    """
     d = draw(st.integers(1, 6))
     m = draw(st.integers(1, max_blocks * _BLOCK + 17))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    if grid is None:
+        grid = draw(st.booleans())
+    if grid:
         states = rng.integers(-4, 5, size=(m, d)) * 0.25
         eta = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
     else:
@@ -406,6 +413,60 @@ def test_subselect_equals_the_per_state_loop(case, data):
     points, kept = reference_subselect(states, eta, seed)
     assert centers.points.tobytes() == points.tobytes()
     assert centers.indices.tolist() == kept.tolist()
+
+
+@FEW
+@given(gated_states(grid=True), st.sampled_from([1.0, -1.0]), st.sampled_from([0, 10, 30]), st.data())
+def test_subselect_strips_keep_the_ties_on_their_edges_far_from_the_origin(case, sign, k, data):
+    # the shift by 2**k is exact on the quarter grid, so a distance equal to eta stays equal
+    # to it, and the strip of a state at first coordinate p0 must reach exactly p0 +- eta
+    states, eta = case
+    states = states + sign * 2.0**k
+    seed = None
+    if data.draw(st.booleans()):
+        points, kept = reference_subselect(states[: data.draw(st.integers(1, len(states)))], 2.0 * eta)
+        seed = PointSet(points, indices=kept)
+    centers = subselect_centers(states, eta, seed_centers=seed)
+    points, kept = reference_subselect(states, eta, seed)
+    assert centers.points.tobytes() == points.tobytes()
+    assert centers.indices.tolist() == kept.tolist()
+
+
+@FEW
+@given(gated_states(max_blocks=2), st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4, unique=True))
+def test_nested_levels_with_one_strip_equal_subselect_per_level(case, etas):
+    states, _ = case
+    etas = sorted(etas, reverse=True)
+    seed = None
+    for eta, level in zip(etas, nested_center_sets(states, etas)):
+        seed = subselect_centers(states, eta, seed_centers=seed)
+        assert level.points.tobytes() == seed.points.tobytes()
+        assert level.indices.tolist() == seed.indices.tolist()
+
+
+@FEW
+@given(gated_states(max_blocks=1), st.data())
+def test_bisection_steps_with_one_strip_equal_subselect(case, data):
+    states, _ = case
+    count = data.draw(st.integers(1, len(states)))
+    greedy = kernelkoop.geometry._greedy
+    steps = []
+
+    def recorded(states, indices, strip, eta, seeds):
+        centers = greedy(states, indices, strip, eta, seeds)
+        steps.append((eta, centers))
+        return centers
+
+    with mock.patch.object(kernelkoop.geometry, "_greedy", recorded):
+        try:
+            eta_for_center_count(states, count)
+        except DegenerateInputError:  # repeated states, or a count the gate jumps past
+            pass
+    assert steps
+    for eta, centers in steps:
+        expected = subselect_centers(states, eta)
+        assert centers.points.tobytes() == expected.points.tobytes()
+        assert centers.indices.tolist() == expected.indices.tolist()
 
 
 @FEW
