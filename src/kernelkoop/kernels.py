@@ -454,11 +454,19 @@ def _helper() -> None:
         _JOBS.popleft().run()
 
 
-def _cdist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``scipy.spatial.distance.cdist(a, b, out=out)``, scipy imported by the first call."""
-    from scipy.spatial.distance import cdist
+_scipy_cdist = None  # scipy.spatial.distance.cdist, bound by the first _cdist call
 
-    return cdist(a, b, out=out)
+
+def _cdist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``scipy.spatial.distance.cdist(a, b, out=out)``, scipy imported by the first call.
+
+    Later calls run no import statement: a strip query is a few
+    microseconds, of which the statement took more than one.
+    """
+    global _scipy_cdist
+    if _scipy_cdist is None:
+        from scipy.spatial.distance import cdist as _scipy_cdist
+    return _scipy_cdist(a, b, out=out)
 
 
 class _Strip:

@@ -11,6 +11,15 @@ The factorization is ``scipy.linalg``'s, imported by the first
 factorization in a process, not with this module, so that a process that
 never solves (``simulate``, ``--help``, an argument error) does not load
 scipy; the README gives the start-up times this saves.
+
+A fit's factorizations, solves and dense products all run in scipy's
+BLAS: the products through ``_product``, not numpy's ``@``.  The numpy
+and scipy wheels each bundle their own OpenBLAS, with a thread pool
+each, and a threaded product in numpy's pool leaves its worker spinning
+for about 0.1 s, against which the next Cholesky runs in scipy's pool:
+``fit_umf``'s second solve at M = 1954 took 147 ms after numpy's product
+and 78-85 ms after scipy's, with the same bits (2 vCPUs, two BLAS threads
+in each pool).  Where numpy and scipy share one BLAS this changes nothing.
 """
 
 from __future__ import annotations
@@ -114,6 +123,23 @@ def cho_solve(c_and_lower, b, **kwargs):
     from scipy import linalg
 
     return linalg.cho_solve(c_and_lower, b, **kwargs)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D float arrays, in scipy's BLAS, with the bits of numpy's ``@``.
+
+    As numpy's matmul does, a one-column ``b`` is a dgemv and any other a
+    dgemm, each given ``a`` in its own memory order with the matching
+    transpose flag, so a C- or F-contiguous ``a`` is never copied.
+    """
+    from scipy.linalg import blas
+
+    ta = a.flags.f_contiguous  # else a.T is the F-contiguous operand
+    if b.shape[1] == 1:
+        return blas.dgemv(1.0, a if ta else a.T, b[:, 0], trans=not ta)[:, None]
+    tb = b.flags.f_contiguous
+    # (a @ b).T = b.T @ a.T, which is what Fortran's column order reads
+    return blas.dgemm(1.0, b if tb else b.T, a if ta else a.T, trans_a=tb, trans_b=ta).T
 
 
 def _cholesky(K: np.ndarray, lam: float):

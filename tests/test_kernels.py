@@ -1,4 +1,5 @@
 import ast
+import builtins
 import math
 import re
 import tracemalloc
@@ -521,6 +522,17 @@ def test_row_blocks_cover_the_rows_in_multiples_of_8_of_at_most_the_cap():
             (s, s + rows) for s in range(0, max(m, 1), rows)
         ]
     assert _row_blocks(10**5, 1954)[0].stop == 64
+
+
+def test_a_second_distance_query_runs_no_import_statement(monkeypatch):
+    points = np.zeros((2, 2))
+    kernelkoop.kernels._cdist(points, points)  # may bind scipy's cdist
+    seen = []
+    real = builtins.__import__
+    monkeypatch.setattr(builtins, "__import__", lambda *args, **kw: seen.append(args[0]) or real(*args, **kw))
+    kernelkoop.kernels._cdist(points, points)
+    monkeypatch.undo()
+    assert seen == []
 
 
 @pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_block_id)

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 from scipy.spatial.distance import pdist
 
@@ -35,7 +38,7 @@ from kernelkoop import (
     spectral_diagnostics,
     subselect_centers,
 )
-from kernelkoop import linsys
+from kernelkoop import koopman, linsys
 from kernelkoop.io import read_estimate_csv, write_estimate_csv
 from kernelkoop.kernels import _MAX_ENTRIES
 
@@ -208,6 +211,31 @@ def test_umf_diagnostics_are_the_second_solve_report(jitter):
         assert np.array_equal(getattr(est.diagnostics, field.name), getattr(second, field.name))
     assert np.array_equal(est.alpha, second.coefficients)
 
+
+
+@pytest.mark.parametrize("n_out", [1, 2, 3])
+def test_umf_equals_two_cholesky_solves_byte_for_byte(n_out):
+    ds = simulate(PendulumConfig(steps=2000))
+    centers = subselect_centers(ds, 0.03)
+    x = centers.points
+    g = np.column_stack([observable_G(x), np.sin(x[:, 0]), np.cos(x[:, 1])])[:, :n_out]
+    factor = cho_factor(kernel_matrix(MATERN1, centers, centers), lower=True)
+    C = kernel_matrix(MATERN1, centers, ds.x_next[centers.indices])
+    expected = cho_solve(factor, C.T @ cho_solve(factor, g))
+    assert fit_umf(ds, centers, MATERN1, g_at_centers=g).alpha.tobytes() == expected.tobytes()
+
+
+def test_umf_multiplies_in_scipys_blas_not_numpys():
+    # the bits of numpy's and scipy's products agree, so only the source can tell them apart
+    tree = ast.parse(inspect.getsource(koopman.fit_umf))
+    numpy_products = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul")
+        or isinstance(node, ast.Name) and node.id in ("dot", "matmul")
+    ]
+    assert numpy_products == []
+    assert any(isinstance(node, ast.Name) and node.id == "_product" for node in ast.walk(tree))
 
 
 def _fit_matern(kind, dataset, centers, **options):

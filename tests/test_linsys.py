@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from kernelkoop import (
@@ -455,6 +457,28 @@ def test_a_solve_without_diagnostics_holds_one_copy_of_k(large_gram, policy):
     rhs = np.ones(len(large_gram))
     peak = _traced_peak(lambda: solve_spd(large_gram, rhs, jitter_policy=policy, diagnostics="off"))
     assert peak <= 1.1 * large_gram.nbytes
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(1, 300), st.integers(1, 4), st.sampled_from("CF"), st.sampled_from("CF"),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_product_has_the_bits_of_numpys_matmul(m, p, order_a, order_b, seed):
+    rng = np.random.default_rng(seed)
+    a = np.asarray(rng.standard_normal((m, m)), order=order_a)
+    b = np.asarray(rng.standard_normal((m, p)), order=order_b)
+    product = linsys._product(a, b)
+    assert product.shape == (m, p)
+    assert product.tobytes() == (a @ b).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_the_product_copies_neither_memory_order_of_the_matrix(large_gram, order, p):
+    a = np.asarray(large_gram, order=order)
+    b = np.ones((len(a), p))
+    assert _traced_peak(lambda: linsys._product(a, b)) <= 2**20
 
 
 @pytest.mark.parametrize(
