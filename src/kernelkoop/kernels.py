@@ -24,9 +24,10 @@ first distance query in a process, not with this module, so that
 
 Distance queries run in blocks of rows (``_row_blocks``), and a query of
 more than one block shares its blocks between the calling thread and at
-most one helper thread (``_each``): two threads when the process may use
-two or more CPUs, none beside the caller on one CPU.  Every block writes
-only its own rows, so the number of threads changes no bit.  There is no
+most one helper thread, a ``ThreadPoolExecutor``'s worker built by the
+first such query (``_each``): two threads when the process may use two or
+more CPUs, none beside the caller on one CPU.  Every block writes only
+its own rows, so the number of threads changes no bit.  There is no
 option for it; ``taskset -c 0`` (or any affinity mask of one CPU) keeps a
 process to one thread.  The greedy subselection's query, ``_Strip``,
 sorts the states once by their first coordinate and measures a point's
@@ -36,10 +37,9 @@ distances only to the states whose first coordinate is within about
 
 from __future__ import annotations
 
-import collections
+import contextlib
 import contextvars
 import enum
-import functools
 import math
 import os
 import threading
@@ -55,13 +55,11 @@ _SQRT3 = math.sqrt(3.0)
 # whatever the number of points, so that a block's distances and the two
 # temporaries of its profile stay near a core's L2 cache.
 _MAX_ENTRIES = 1 << 17
-# The helper threads of `_each`, started by the first query it shares, and their
-# queue of jobs, one `_READY` release per job.  `_LOCAL.busy` marks a thread
-# that is running an item of `_each`.
-_HELPERS: list[threading.Thread] = []
+# `_each`'s helper threads are the `_MOST - 1` workers of `_EXECUTOR`, built under `_STARTING`
+# by the first query that shares its blocks; `_LOCAL.busy` marks a thread running an item.
+_MOST = 2  # threads that share a query at most: the most this was measured with (2 vCPUs)
+_EXECUTOR = None
 _STARTING = threading.Lock()
-_JOBS: collections.deque[_Job] = collections.deque()
-_READY = threading.Semaphore(0)
 _LOCAL = threading.local()
 
 
@@ -344,10 +342,9 @@ def _row_blocks(m: int, cols: int) -> list[slice]:
 
 
 def _participants() -> int:
-    """Threads that share a blocked query: the CPUs this process may use, at most 2.
+    """Threads that share a blocked query: the CPUs this process may use, at most ``_MOST``.
 
-    Two is the most this was measured with (a 2-vCPU host).  A thread that is
-    running an item of ``_each`` shares nothing further: 1.
+    A thread that is running an item of ``_each`` shares nothing further: 1.
     """
     if getattr(_LOCAL, "busy", False):
         return 1
@@ -355,7 +352,7 @@ def _participants() -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, 2)
+    return min(cpus, _MOST)
 
 
 def _blocks(m: int, cols: int) -> list[slice]:
@@ -368,17 +365,18 @@ def _blocks(m: int, cols: int) -> list[slice]:
 
 
 def _each(fn, items: list) -> None:
-    """Call ``fn`` on every item, in this thread and ``_participants() - 1`` helper threads.
+    """Call ``fn`` on every item, in this thread and ``_participants() - 1`` helper jobs.
 
     Each participant takes the next item from one shared iterator until none
     is left, so ``fn`` must write only what its item owns.  One participant,
     or one item, is a plain loop.  The first exception stops every
     participant from taking a further item and is raised here once they have
-    all stopped.  A helper that has not started by the time this thread runs
-    out of items is left out, so a busy pool never blocks the caller.
-    Helpers run in a copy of the caller's context, so numpy's ``errstate``
-    holds in them too.
+    all stopped.  A job the helper has not started when this thread runs out
+    of items is cancelled, so a busy helper never blocks the caller; at
+    interpreter shutdown this thread runs every item.  Jobs run in a copy of
+    the caller's context, so numpy's ``errstate`` holds in the helper too.
     """
+    global _EXECUTOR
     n = min(len(items), _participants())
     if n < 2:
         for item in items:
@@ -399,59 +397,31 @@ def _each(fn, items: list) -> None:
         finally:
             _LOCAL.busy = False
 
-    with _STARTING:
-        while len(_HELPERS) < n - 1:
-            _HELPERS.append(threading.Thread(target=_helper, name="kernelkoop-helper", daemon=True))
-            _HELPERS[-1].start()
-    jobs = [_Job(functools.partial(contextvars.copy_context().run, drain)) for _ in range(n - 1)]
+    jobs = []  # extended job by job: a refused job leaves the earlier ones in the list
+    with contextlib.suppress(RuntimeError):  # interpreter shutdown: no import, thread or job
+        with _STARTING:
+            if _EXECUTOR is None:
+                from concurrent.futures import ThreadPoolExecutor
+                _EXECUTOR = ThreadPoolExecutor(_MOST - 1, thread_name_prefix="kernelkoop-helper")
+        jobs.extend(_EXECUTOR.submit(contextvars.copy_context().run, drain) for _ in range(n - 1))
     drain()
     try:
         for job in jobs:
-            job.join()
-    except BaseException as exc:  # interrupted while waiting: the helpers stop too
+            if not job.cancel():  # the helper has started it: wait for it to stop
+                job.result()
+    except BaseException as exc:  # interrupted while waiting: the helper stops too
         errors.append(exc)
         raise
     if errors:
         raise errors[0]
 
 
-class _Job:
-    """A helper's share of an ``_each`` call, queued for the helper threads.
-
-    Whoever acquires ``claim`` first owns the job: a helper runs it and then
-    releases ``finished``; the caller, by claiming it, takes it back unrun.
-    Either way the job lets go of ``work``, so a queued job keeps no array alive.
-    """
-
-    def __init__(self, work) -> None:
-        self.work = work
-        self.claim, self.finished = threading.Lock(), threading.Lock()
-        self.finished.acquire()
-        _JOBS.append(self)
-        _READY.release()
-
-    def run(self) -> None:
-        """In a helper thread: do the work unless the caller took the job back."""
-        if self.claim.acquire(blocking=False):
-            try:
-                self.work()
-            finally:
-                self.work = None
-                self.finished.release()
-
-    def join(self) -> None:
-        """In the caller, out of items: take the job back, or wait for the helper running it."""
-        if self.claim.acquire(blocking=False):
-            self.work = None
-        else:
-            self.finished.acquire()
-
-
-def _helper() -> None:
-    """A helper thread: run the queued jobs one at a time, idle in between."""
-    while True:
-        _READY.acquire()
-        _JOBS.popleft().run()
+# A forked child has none of the parent's threads: its first shared query builds its own
+# executor, under a new lock, since a thread the child lacks may have held the old one.
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(
+        after_in_child=lambda: globals().update(_EXECUTOR=None, _STARTING=threading.Lock())
+    )
 
 
 _scipy_cdist = None  # scipy.spatial.distance.cdist, bound by the first _cdist call

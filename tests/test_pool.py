@@ -5,11 +5,19 @@ failure contract must hold whichever thread meets the failure: the error
 is raised in the caller, after which no participant takes a further block.
 Each test sets ``_participants`` itself, so it runs the same on any host,
 and most set ``_MAX_ENTRIES`` to 8 so that small examples span many blocks.
+The last tests run a fresh interpreter each, for what happens once per
+process: a query at interpreter shutdown, in a forked child, and the first
+query of two threads at once.
 """
 
+import hashlib
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,14 +154,16 @@ def test_a_helpers_memory_error_exits_3_with_one_error_line(tmp_path, capsys, mo
 
 def test_after_a_helpers_error_the_caller_takes_no_further_item(monkeypatch):
     monkeypatch.setattr(kernels, "_participants", lambda: 2)
-    failed = threading.Event()
+    taken, failed = threading.Event(), threading.Event()
     calls = []
 
     def fn(item):
         calls.append(("helper" if _in_helper() else "caller", item))
         if _in_helper():
+            taken.wait(WAIT)  # the helper fails only once the caller has an item of its own
             failed.set()
             raise ValueError("helper")
+        taken.set()
         failed.wait(WAIT)
         time.sleep(0.05)  # the helper records its error meanwhile
 
@@ -242,3 +252,114 @@ def test_helpers_run_under_the_callers_errstate(monkeypatch):
     with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
         kernel_matrix(KernelSpec("matern"), points, points[::-1])
     assert helper_raised.is_set()
+
+
+# Prefix of the scripts below, each run in a fresh interpreter: two participants
+# whatever the host, and one shared query, a Gram of 3000 points, as a digest.
+_QUERY = """
+import hashlib, json, os, sys, threading
+import numpy as np
+import kernelkoop.kernels as kernels
+from kernelkoop import KernelSpec, kernel_matrix
+
+kernels._participants = lambda: 2
+points = np.random.default_rng(0).uniform(size=(3000, 2))
+
+def query():
+    return hashlib.sha256(kernel_matrix(KernelSpec("matern"), points, points).tobytes()).hexdigest()
+"""
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = str(Path(kernels.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", _QUERY + script, *args],
+        env=env, capture_output=True, encoding="utf-8", timeout=120,
+    )
+
+
+@pytest.fixture
+def one_thread_digest(monkeypatch):
+    monkeypatch.setattr(kernels, "_participants", lambda: 1)
+    points = np.random.default_rng(0).uniform(size=(3000, 2))
+    return hashlib.sha256(kernel_matrix(KernelSpec("matern"), points, points).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("before", ["never", "after a query"])
+def test_a_query_at_interpreter_shutdown_runs_in_the_caller(before, one_thread_digest):
+    # atexit handlers run after the threading module's shutdown, which stops the helper
+    # and refuses new threads, jobs and the import of concurrent.futures.thread
+    done = _run("""
+import atexit
+atexit.register(lambda: print(query()))
+if sys.argv[1] != "never":
+    print(query())
+""", before)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == [one_thread_digest] * (1 if before == "never" else 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_shares_its_queries_and_keeps_no_array(one_thread_digest):
+    # the parent's helper thread is not in the child; the child's query must neither
+    # wait for it nor leave its arrays to a job that no thread will run
+    done = _run("""
+import gc, signal, time, weakref
+seen = {"parent": query()}
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child that hangs is killed
+    gram = kernel_matrix(KernelSpec("matern"), points, points)
+    child = {"child": hashlib.sha256(gram.tobytes()).hexdigest()}
+    ref = weakref.ref(gram)
+    del gram
+    deadline = time.monotonic() + 10.0
+    while ref() is not None and time.monotonic() < deadline:
+        gc.collect()
+        time.sleep(0.01)
+    child["released"] = ref() is None
+    os.write(write, json.dumps(child).encode())
+    os._exit(0)
+os.close(write)
+with os.fdopen(read) as pipe:
+    seen.update(json.loads(pipe.read() or "{}"))
+seen["status"] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+print(json.dumps(seen))
+""")
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen == {"parent": one_thread_digest, "child": one_thread_digest, "released": True, "status": 0}
+
+
+def test_first_use_from_two_threads_starts_one_helper(one_thread_digest):
+    # a second executor would not show afterwards: its thread ends once its last job
+    # is gone, so the threads that ran a block are counted as well as those left alive
+    done = _run("""
+cdist, ran = kernels._cdist, set()
+
+def spy(*args, **kwargs):
+    if threading.current_thread().name.startswith("kernelkoop-helper"):
+        ran.add(threading.current_thread())
+    return cdist(*args, **kwargs)
+
+kernels._cdist = spy
+start, digests = threading.Barrier(2), []
+
+def run():
+    start.wait()  # both threads ask for the helper at the same moment
+    digests.append(query())
+
+threads = [threading.Thread(target=run) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+alive = [t for t in threading.enumerate() if t.name.startswith("kernelkoop-helper")]
+print(json.dumps({"digests": digests, "ran a block": len(ran), "alive": len(alive)}))
+""")
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen == {"digests": [one_thread_digest] * 2, "ran a block": 1, "alive": 1}
