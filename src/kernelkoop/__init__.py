@@ -7,6 +7,8 @@ center subselection, SPD solves with stability diagnostics, a symplectic
 pendulum test system, and a motion-capture joint-angle pipeline.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dynamics import PendulumConfig, hamiltonian, observable_G, pendulum_step, simulate
 from .errors import (
     ConfigError,
@@ -58,50 +60,8 @@ from .mocap import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "CsvFormatError",
-    "DegenerateInputError",
-    "DistanceConvention",
-    "EdmdOperator",
-    "EstimateMode",
-    "InvalidArgumentError",
-    "JointAngleSample",
-    "KernelFamily",
-    "KernelKoopError",
-    "KernelSpec",
-    "KoopmanEstimate",
-    "MarkerFrame",
-    "NotPositiveDefiniteError",
-    "PendulumConfig",
-    "PlanarFrame",
-    "PointSet",
-    "SolveReport",
-    "SpectralDiagnostics",
-    "TrajectoryDataset",
-    "edmd_apply",
-    "edmd_fit",
-    "empirical_risk",
-    "eta_for_center_count",
-    "eval_kernel",
-    "extract_angles",
-    "fill_distance",
-    "fit_kinematics",
-    "fit_pullback",
-    "fit_umf",
-    "hamiltonian",
-    "joint_angles",
-    "kernel_matrix",
-    "kernel_sections",
-    "nested_center_sets",
-    "observable_G",
-    "pendulum_step",
-    "predict",
-    "project_sagittal",
-    "read_marker_csv",
-    "separation",
-    "simulate",
-    "solve_spd",
-    "spectral_diagnostics",
-    "subselect_centers",
-]
+# every public name imported above, so each is declared once
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

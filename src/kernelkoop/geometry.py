@@ -34,8 +34,8 @@ def subselect_centers(trajectory, eta: float, seed_centers: PointSet | None = No
     exceeds ``eta``.  Accepted states keep their original trajectory time
     indices so outputs and advanced states can be looked up later.
 
-    ``seed_centers`` pre-populates the accepted set (used to build nested
-    center sets); seeded points are returned first, in their given order.
+    ``seed_centers`` pre-populates the accepted set; seeded points are
+    returned first, in their given order.
 
     Each seed rules out every state within ``eta`` of it, and each kept
     state the later ones; both ask the strip query ``kernels._Strip``.

@@ -157,10 +157,8 @@ def fit_umf(
     ``"off"``), so the peak is about 2 K.
 
     The product C^T K^-1 g(Xi) between the solves runs in scipy's BLAS,
-    like the solves (``linsys._product``), not in numpy's own OpenBLAS
-    pool, whose spinning thread slowed the second Cholesky at M = 1954
-    from 78-85 to 147 ms.  C^T goes in as the F-contiguous transpose of
-    C, not copied.
+    like the solves (``linsys._product``).  C^T goes in as the
+    F-contiguous transpose of C, not copied.
     """
     g = as_points(g_at_centers, "g_at_centers")
     if g.ndim != 2:

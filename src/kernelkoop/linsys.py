@@ -11,15 +11,6 @@ The factorization is ``scipy.linalg``'s, imported by the first
 factorization in a process, not with this module, so that a process that
 never solves (``simulate``, ``--help``, an argument error) does not load
 scipy; the README gives the start-up times this saves.
-
-A fit's factorizations, solves and dense products all run in scipy's
-BLAS: the products through ``_product``, not numpy's ``@``.  The numpy
-and scipy wheels each bundle their own OpenBLAS, with a thread pool
-each, and a threaded product in numpy's pool leaves its worker spinning
-for about 0.1 s, against which the next Cholesky runs in scipy's pool:
-``fit_umf``'s second solve at M = 1954 took 147 ms after numpy's product
-and 78-85 ms after scipy's, with the same bits (2 vCPUs, two BLAS threads
-in each pool).  Where numpy and scipy share one BLAS this changes nothing.
 """
 
 from __future__ import annotations
@@ -118,19 +109,18 @@ def cho_factor(a, **kwargs):
     return linalg.cho_factor(a, **kwargs)
 
 
-def cho_solve(c_and_lower, b, **kwargs):
-    """``scipy.linalg.cho_solve``; the first call in a process imports scipy.linalg."""
-    from scipy import linalg
-
-    return linalg.cho_solve(c_and_lower, b, **kwargs)
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for 2-D float arrays, in scipy's BLAS, with the bits of numpy's ``@``.
 
     As numpy's matmul does, a one-column ``b`` is a dgemv and any other a
     dgemm, each given ``a`` in its own memory order with the matching
     transpose flag, so a C- or F-contiguous ``a`` is never copied.
+
+    Not ``@``: the numpy and scipy wheels each bundle an OpenBLAS with its
+    own thread pool, and numpy's worker spins for about 0.1 s after a
+    threaded product, against the next Cholesky in scipy's pool:
+    ``fit_umf``'s second solve at M = 1954 took 147 ms after ``@`` and
+    78-85 ms after this, same bits (2 vCPUs, two threads per pool).
     """
     from scipy.linalg import blas
 
@@ -147,6 +137,12 @@ def _cholesky(K: np.ndarray, lam: float):
 
     With jitter the copy is K + 0.0 in Fortran order (entry for entry
     K + lam*I off the diagonal, -0.0 included), and it is factored in place.
+
+    Without jitter scipy makes the copy: the copy path gives the same bits
+    but is slower.  On ``large_m``'s M = 1954 Matern Gram (2 vCPUs, medians
+    of 7 calls, 3 rounds) it took 69-72 ms against 55-60, numpy's
+    transposing F-order copy alone 25-26 ms; at 3 factors per pass that is
+    about 40 ms of ``large_m``'s ``fit_s``.
     """
     if lam == 0.0:
         return cho_factor(K, lower=True, check_finite=False)
@@ -193,6 +189,8 @@ def solve_spd(
     if jitter_policy == "auto":
         unit = float(np.trace(K)) / K.shape[0]
         ladder += [step * unit for step in _AUTO_JITTER_STEPS]
+
+    from scipy.linalg import cho_solve  # as _cholesky's factor, a first-use import
 
     for lam in ladder:
         try:
