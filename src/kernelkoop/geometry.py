@@ -118,9 +118,7 @@ def separation(centers) -> float:
     c = _points(centers, "centers")
     if c.shape[0] < 2:
         raise DegenerateInputError("separation needs at least 2 centers")
-    minima = []  # one per panel, appended by whichever thread took it
-    _pairwise(c, "centers", lambda blk, panel: minima.append(float(panel.min())))
-    return 0.5 * min(minima)
+    return 0.5 * min(float(panel.min()) for _, panel in _pairwise(c, "centers"))
 
 
 def eta_for_center_count(trajectory, count: int) -> float:

@@ -22,14 +22,16 @@ Distances come from ``scipy.spatial.distance.cdist``, imported by the
 first distance query in a process, not with this module, so that
 ``simulate``, ``--help`` and argument errors do not load scipy.
 
-Distance queries run in blocks of rows (``_row_blocks``), and a query of
-more than one block shares its blocks between the calling thread and at
-most one helper thread, a ``ThreadPoolExecutor``'s worker built by the
-first such query (``_each``): two threads when the process may use two or
-more CPUs, none beside the caller on one CPU.  Every block writes only
-its own rows, so the number of threads changes no bit.  There is no
-option for it; ``taskset -c 0`` (or any affinity mask of one CPU) keeps a
-process to one thread.  The greedy subselection's query, ``_Strip``,
+Distance queries run in blocks of rows (``_row_blocks``).  Two row sweeps
+that write one value per row, ``koopman.predict`` and fill distance's
+``_nearest``, share their blocks between the calling thread and at most
+one helper thread, a ``ThreadPoolExecutor``'s worker built by the first
+such sweep (``_each``): two threads when the process may use two or more
+CPUs, none beside the caller on one CPU.  Every block writes only its own
+rows, so the number of threads changes no bit.  There is no option for
+it; ``taskset -c 0`` (or any affinity mask of one CPU) keeps a process to
+one thread.  The Gram, the cross matrix and ``separation`` run their
+blocks in the calling thread.  The greedy subselection's query, ``_Strip``,
 sorts the states once by their first coordinate and measures a point's
 distances only to the states whose first coordinate is within about
 ``eta`` of its own, in the calling thread alone.
@@ -44,7 +46,7 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass, fields
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -56,11 +58,10 @@ _SQRT3 = math.sqrt(3.0)
 # temporaries of its profile stay near a core's L2 cache.
 _MAX_ENTRIES = 1 << 17
 # `_each`'s helper threads are the `_MOST - 1` workers of `_EXECUTOR`, built under `_STARTING`
-# by the first query that shares its blocks; `_LOCAL.busy` marks a thread running an item.
+# by the first query that shares its blocks.
 _MOST = 2  # threads that share a query at most: the most this was measured with (2 vCPUs)
 _EXECUTOR = None
 _STARTING = threading.Lock()
-_LOCAL = threading.local()
 
 
 class KernelFamily(enum.Enum):
@@ -342,12 +343,7 @@ def _row_blocks(m: int, cols: int) -> list[slice]:
 
 
 def _participants() -> int:
-    """Threads that share a blocked query: the CPUs this process may use, at most ``_MOST``.
-
-    A thread that is running an item of ``_each`` shares nothing further: 1.
-    """
-    if getattr(_LOCAL, "busy", False):
-        return 1
+    """Threads that share a blocked query: the CPUs this process may use, at most ``_MOST``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -355,18 +351,10 @@ def _participants() -> int:
     return min(cpus, _MOST)
 
 
-def _blocks(m: int, cols: int) -> list[slice]:
-    """Row blocks of an elementwise (m, cols) query, for ``_each`` to share among n participants.
-
-    They are the blocks of an (m, n * cols) array, so the n blocks in flight
-    hold no more entries than one block of a query run in one thread.
-    """
-    return _row_blocks(m, cols * _participants())
-
-
 def _each(fn, items: list) -> None:
     """Call ``fn`` on every item, in this thread and ``_participants() - 1`` helper jobs.
 
+    Its callers are the two row sweeps, ``koopman.predict`` and ``_nearest``.
     Each participant takes the next item from one shared iterator until none
     is left, so ``fn`` must write only what its item owns.  One participant,
     or one item, is a plain loop.  The first exception stops every
@@ -386,7 +374,6 @@ def _each(fn, items: list) -> None:
     errors = []
 
     def drain():
-        _LOCAL.busy = True
         try:
             for item in todo:
                 if errors:
@@ -394,8 +381,6 @@ def _each(fn, items: list) -> None:
                 fn(item)
         except BaseException as exc:  # raised in the caller once every participant stops
             errors.append(exc)
-        finally:
-            _LOCAL.busy = False
 
     jobs = []  # extended job by job: a refused job leaves the earlier ones in the list
     with contextlib.suppress(RuntimeError):  # interpreter shutdown: no import, thread or job
@@ -474,24 +459,22 @@ def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     def block(blk):
         _cdist(points[blk], centers).min(axis=1, out=out[blk])
 
-    _each(block, _blocks(len(points), len(centers)))
+    _each(block, _row_blocks(len(points), len(centers)))
     return out
 
 
-def _pairwise(points: np.ndarray, what: str, fn) -> None:
-    """Call ``fn(blk, cdist(points[blk], points[blk.start:]))`` on each upper row panel.
+def _pairwise(points: np.ndarray, what: str) -> Iterator[tuple[slice, np.ndarray]]:
+    """Upper row panels ``(blk, cdist(points[blk], points[blk.start:]))``; a zero raises.
 
-    The panels go through ``_each``.  A panel's diagonal, a point against
-    itself, holds inf; a zero elsewhere raises before ``fn`` sees the panel.
+    The panels are made in the calling thread.  A panel's diagonal, a point
+    against itself, holds inf.
     """
-    def panel(blk):
-        dist = _cdist(points[blk], points[blk.start:])
-        np.fill_diagonal(dist, np.inf)
-        if float(dist.min()) == 0.0:
+    for blk in _row_blocks(len(points), len(points)):
+        panel = _cdist(points[blk], points[blk.start:])
+        np.fill_diagonal(panel, np.inf)
+        if float(panel.min()) == 0.0:
             raise DegenerateInputError(f"{what} must be pairwise distinct")
-        fn(blk, dist)
-
-    _each(panel, _blocks(len(points), len(points)))
+        yield blk, panel
 
 
 def _profile(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -553,11 +536,10 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     singular otherwise).  Any other pair is assembled as a cross matrix,
     even when the two hold equal points.  Every coordinate must be finite.
 
-    Both are assembled in blocks of at most ``_MAX_ENTRIES`` distances,
-    shared by ``_each``'s threads, so the memory beside the output does not
-    grow with the number of points; distances and profile are elementwise
-    and each block writes its own entries, so neither the blocks nor the
-    threads change a bit.
+    Both are assembled in blocks of at most ``_MAX_ENTRIES`` distances, in
+    the calling thread, so the memory beside the output does not grow with
+    the number of points; distances and profile are elementwise, so the
+    blocks change no bit.
     """
     gram = B is A
     pa = _points(A, "kernel points")
@@ -568,20 +550,14 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
         )
     if not gram:
         out = np.empty((pa.shape[0], pb.shape[0]))
-
-        def block(blk):
+        for blk in _row_blocks(*out.shape):
             _cdist(pa[blk], pb, out=out[blk])
             _profile(spec, out[blk], out=out[blk])
-
-        _each(block, _blocks(*out.shape))
         return out
     K = np.empty((len(pa), len(pa)))
-
-    def write(blk, panel):  # the panels' rows, and so their transposes' columns, are disjoint
+    for blk, panel in _pairwise(pa, "kernel centers"):
         _profile(spec, panel, out=panel)
         K[blk, blk.start:] = panel
         K[blk.start:, blk] = panel.T
-
-    _pairwise(pa, "kernel centers", write)
     np.fill_diagonal(K, _profile(spec, np.float64(0.0)))
     return K

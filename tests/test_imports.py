@@ -62,9 +62,10 @@ def test_scipy_is_loaded_by_the_first_computation_only(tmp_path):
 
 
 # Runs each step in turn and prints, after each, the threads alive and whether a
-# module of concurrent.futures is loaded; then a query of many blocks, after which
-# the helper threads number one less than the CPUs the process may use, at most 1
-# (scipy, loaded by the query, imports concurrent.futures itself).
+# module of concurrent.futures is loaded; then a query that shares its many blocks,
+# fill distance over 3000 points, after which the helper threads number one less
+# than the CPUs the process may use, at most 1 (scipy, loaded by the query, imports
+# concurrent.futures itself).
 _THREADS_CHILD = """
 import contextlib, io, json, os, sys, threading
 
@@ -87,7 +88,7 @@ for name, argv in [("simulate", ["--out", sys.argv[1], "simulate"]), ("--help", 
     seen[name] = state()
 import numpy as np
 points = np.random.default_rng(0).uniform(size=(3000, 2))
-kernelkoop.kernel_matrix(kernelkoop.KernelSpec("matern"), points, points)
+kernelkoop.fill_distance(points[::3], points)
 seen["a query of many blocks"] = state()
 seen["cpus"] = len(os.sched_getaffinity(0))
 print(json.dumps(seen))

@@ -14,7 +14,7 @@ from types import ModuleType
 
 import kernelkoop
 
-SRC_LINES = 2429
+SRC_LINES = 2403
 
 PACKAGE = Path(kernelkoop.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"

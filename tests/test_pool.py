@@ -1,15 +1,19 @@
-"""The distance layer's threads: ``kernels._each`` and the queries it shares.
+"""The distance layer's threads: ``kernels._each`` and the two row sweeps it shares.
 
-The number of participants must change no bit of any result, and the
-failure contract must hold whichever thread meets the failure: the error
-is raised in the caller, after which no participant takes a further block.
-Each test sets ``_participants`` itself, so it runs the same on any host,
-and most set ``_MAX_ENTRIES`` to 8 so that small examples span many blocks.
-The last tests run a fresh interpreter each, for what happens once per
-process: a query at interpreter shutdown, in a forked child, and the first
-query of two threads at once.
+Only ``koopman.predict`` and fill distance's ``kernels._nearest`` share
+their blocks; the Gram, the cross matrix and ``separation`` run in the
+calling thread.  The number of participants must change no bit of any
+result, and the failure contract must hold whichever thread meets the
+failure: the error is raised in the caller, after which no participant
+takes a further block.  Each test sets ``_participants`` itself, so it
+runs the same on any host, and most set ``_MAX_ENTRIES`` to 8 so that
+small examples span many blocks.  The last tests run a fresh interpreter
+each, for what happens once per process: which queries start a helper, a
+query at interpreter shutdown, in a forked child, and the first query of
+two threads at once.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -25,7 +29,6 @@ import pytest
 import kernelkoop.cli as cli
 import kernelkoop.kernels as kernels
 from kernelkoop import (
-    DegenerateInputError,
     KernelSpec,
     PendulumConfig,
     TrajectoryDataset,
@@ -50,7 +53,7 @@ def _in_helper() -> bool:
 
 
 def _results(spec: KernelSpec) -> dict[str, bytes]:
-    """The bytes of every shared query on a short pendulum run, 1 and 3 outputs."""
+    """The bytes of each query, fit and predict on a short pendulum run, 1 and 3 outputs."""
     ds = simulate(PendulumConfig(steps=300))
     centers = subselect_centers(ds, 0.2)
     y3 = np.column_stack([ds.y_next[:, 0], np.sin(ds.x_next[:, 0]), ds.x_next[:, 1]])
@@ -94,54 +97,26 @@ def test_the_number_of_participants_changes_no_bit(spec, monkeypatch):
     assert results[3] == results[1]
 
 
-@pytest.mark.parametrize(
-    "query, message",
-    [
-        (lambda p: kernel_matrix(KernelSpec("wendland_c2"), p, p),
-         "kernel centers must be pairwise distinct"),
-        (separation, "centers must be pairwise distinct"),
-    ],
-    ids=["gram", "separation"],
-)
-def test_a_duplicate_in_a_helpers_panel_raises_in_the_caller(query, message, monkeypatch):
-    monkeypatch.setattr(kernels, "_MAX_ENTRIES", 8)
-    monkeypatch.setattr(kernels, "_participants", lambda: 2)
-    points = np.random.default_rng(9).uniform(-1.0, 1.0, size=(40, 3))
-    points[35] = points[27]  # in the panel of rows 24..31, which holds 16 columns
-    seen = threading.Event()
-    takers = {}
-    cdist = kernels._cdist
-
-    def spy(a, b, out=None):
-        if _in_helper():
-            takers[len(b)] = "helper"
-            if len(b) == 16:
-                seen.set()
-        else:
-            takers.setdefault(len(b), "caller")
-            seen.wait(WAIT)  # the caller holds its first panel until a helper has the duplicate
-        return cdist(a, b, out=out)
-
-    monkeypatch.setattr(kernels, "_cdist", spy)
-    with pytest.raises(DegenerateInputError, match=f"^{message}$"):
-        query(points)
-    assert takers[16] == "helper"
-
-
 def test_a_helpers_memory_error_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
     assert cli.main(["--out", out, "simulate"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(kernels, "_MAX_ENTRIES", 8)
-    monkeypatch.setattr(kernels, "_participants", lambda: 2)
-    raised = threading.Event()
+    shared, raised = threading.Event(), threading.Event()
+
+    def participants():
+        shared.set()  # called by _each: the caller is in a shared query, the fit's predict
+        return 2
+
+    monkeypatch.setattr(kernels, "_participants", participants)
     profile = kernels._profile
 
     def spy(spec, r, out=None):
         if _in_helper():
             raised.set()
             raise MemoryError("a helper's block")
-        raised.wait(WAIT)  # the caller holds its first block until a helper has failed
+        if shared.is_set():
+            raised.wait(WAIT)  # the caller holds its first shared block until a helper has failed
         return profile(spec, r, out=out)
 
     monkeypatch.setattr(kernels, "_profile", spy)
@@ -224,17 +199,16 @@ def test_participants_follow_the_cpus_this_process_may_use(monkeypatch):
     assert kernels._participants() == 1
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(8)))
     assert kernels._participants() == 2
-    # a participant's own queries are not shared again
-    nested = []
-    kernels._each(lambda item: nested.append(kernels._participants()), list(range(4)))
-    assert nested == [1, 1, 1, 1]
 
 
 def test_helpers_run_under_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(kernels, "_MAX_ENTRIES", 8)
     monkeypatch.setattr(kernels, "_participants", lambda: 2)
-    # 1000 apart, every kernel value but the diagonal underflows in exp
-    points = 1000.0 * np.arange(40.0)[:, None]
+    # centers 1000 apart and queries halfway between them: every kernel value of the
+    # predict underflows in exp, in 5 blocks of 8 rows
+    x = 1000.0 * np.arange(40.0)[:, None]
+    ds = TrajectoryDataset(k=np.arange(40), x=x, x_next=x, y_next=np.ones((40, 1)))
+    estimate = fit_pullback(ds, subselect_centers(ds, 1.0), KernelSpec("matern"))
     helper_raised = threading.Event()
     profile = kernels._profile
 
@@ -250,23 +224,25 @@ def test_helpers_run_under_the_callers_errstate(monkeypatch):
 
     monkeypatch.setattr(kernels, "_profile", spy)
     with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
-        kernel_matrix(KernelSpec("matern"), points, points[::-1])
+        predict(estimate, x + 500.0)
     assert helper_raised.is_set()
 
 
 # Prefix of the scripts below, each run in a fresh interpreter: two participants
-# whatever the host, and one shared query, a Gram of 3000 points, as a digest.
+# whatever the host, and one shared query as a digest: fill distance's sweep, each of
+# 3000 points' distance to the nearest of 1000 centers, in 24 blocks of 128 rows.
 _QUERY = """
 import hashlib, json, os, sys, threading
 import numpy as np
 import kernelkoop.kernels as kernels
-from kernelkoop import KernelSpec, kernel_matrix
+from kernelkoop import KernelSpec, fill_distance, kernel_matrix, separation
 
 kernels._participants = lambda: 2
 points = np.random.default_rng(0).uniform(size=(3000, 2))
+centers = points[::3]
 
 def query():
-    return hashlib.sha256(kernel_matrix(KernelSpec("matern"), points, points).tobytes()).hexdigest()
+    return hashlib.sha256(kernels._nearest(points, centers).tobytes()).hexdigest()
 """
 
 
@@ -284,7 +260,47 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
 def one_thread_digest(monkeypatch):
     monkeypatch.setattr(kernels, "_participants", lambda: 1)
     points = np.random.default_rng(0).uniform(size=(3000, 2))
-    return hashlib.sha256(kernel_matrix(KernelSpec("matern"), points, points).tobytes()).hexdigest()
+    return hashlib.sha256(kernels._nearest(points, points[::3]).tobytes()).hexdigest()
+
+
+def test_only_the_two_row_sweeps_call_each():
+    callers = set()
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text("utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if "_each" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("kernels", "_nearest"), ("koopman", "predict")}
+
+
+def test_the_matrix_queries_run_in_the_caller_and_fill_distance_shares():
+    # the threads that ran a distance, query by query, the three matrix queries both
+    # before the first helper exists and after
+    done = _run("""
+cdist, ran = kernels._cdist, set()
+
+def spy(*args, **kwargs):
+    ran.add(threading.current_thread().name.startswith("kernelkoop-helper"))
+    return cdist(*args, **kwargs)
+
+kernels._cdist = spy
+spec, seen = KernelSpec("matern"), []
+queries = {
+    "gram": lambda: kernel_matrix(spec, points, points),
+    "cross": lambda: kernel_matrix(spec, points, centers),
+    "separation": lambda: separation(points),
+    "fill": lambda: fill_distance(centers, points),
+}
+for name in ["gram", "cross", "separation", "fill", "gram", "cross", "separation"]:
+    ran.clear()
+    queries[name]()
+    seen.append([name, sorted(ran)])
+print(json.dumps(seen))
+""")
+    assert done.returncode == 0, done.stderr
+    helper = [name for name, ran in json.loads(done.stdout) if ran != [False]]
+    assert helper == ["fill"]
 
 
 @pytest.mark.parametrize("before", ["never", "after a query"])
@@ -312,10 +328,10 @@ read, write = os.pipe()
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)  # a child that hangs is killed
-    gram = kernel_matrix(KernelSpec("matern"), points, points)
-    child = {"child": hashlib.sha256(gram.tobytes()).hexdigest()}
-    ref = weakref.ref(gram)
-    del gram
+    near = kernels._nearest(points, centers)
+    child = {"child": hashlib.sha256(near.tobytes()).hexdigest()}
+    ref = weakref.ref(near)
+    del near
     deadline = time.monotonic() + 10.0
     while ref() is not None and time.monotonic() < deadline:
         gc.collect()
