@@ -24,13 +24,11 @@ first distance query in a process, not with this module, so that
 
 Distance queries run in blocks of rows (``_row_blocks``).  Two row sweeps
 that write one value per row, ``koopman.predict`` and fill distance's
-``_nearest``, share their blocks between the calling thread and at most
-one helper thread, a ``ThreadPoolExecutor``'s worker built by the first
-such sweep (``_each``): two threads when the process may use two or more
-CPUs, none beside the caller on one CPU.  Every block writes only its own
-rows, so the number of threads changes no bit.  There is no option for
-it; ``taskset -c 0`` (or any affinity mask of one CPU) keeps a process to
-one thread.  The Gram, the cross matrix and ``separation`` run their
+``_nearest``, share their blocks with a helper thread when the process may
+use two or more CPUs, as ``_each`` describes.  Every block writes only its
+own rows, so the helper changes no bit.  There is no option for it;
+``taskset -c 0`` (or any affinity mask of one CPU) keeps a process to one
+thread.  The Gram, the cross matrix and ``separation`` run their
 blocks in the calling thread.  The greedy subselection's query, ``_Strip``,
 sorts the states once by their first coordinate and measures a point's
 distances only to the states whose first coordinate is within about
@@ -57,9 +55,8 @@ _SQRT3 = math.sqrt(3.0)
 # whatever the number of points, so that a block's distances and the two
 # temporaries of its profile stay near a core's L2 cache.
 _MAX_ENTRIES = 1 << 17
-# `_each`'s helper threads are the `_MOST - 1` workers of `_EXECUTOR`, built under `_STARTING`
-# by the first query that shares its blocks.
-_MOST = 2  # threads that share a query at most: the most this was measured with (2 vCPUs)
+# `_each`'s helper thread is the one worker of `_EXECUTOR`, built under `_STARTING` by the
+# first sweep that shares its blocks.
 _EXECUTOR = None
 _STARTING = threading.Lock()
 
@@ -342,34 +339,30 @@ def _row_blocks(m: int, cols: int) -> list[slice]:
     return [slice(s, s + rows) for s in range(0, max(m, 1), rows)]
 
 
-def _participants() -> int:
-    """Threads that share a blocked query: the CPUs this process may use, at most ``_MOST``."""
+def _shares() -> bool:
+    """Whether a blocked sweep shares its blocks: this process may use two or more CPUs."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, _MOST)
+    return cpus > 1
 
 
 def _each(fn, items: list) -> None:
-    """Call ``fn`` on every item, in this thread and ``_participants() - 1`` helper jobs.
+    """Call ``fn`` on every item, in this thread and at most one helper thread.
 
     Its callers are the two row sweeps, ``koopman.predict`` and ``_nearest``.
-    Each participant takes the next item from one shared iterator until none
-    is left, so ``fn`` must write only what its item owns.  One participant,
-    or one item, is a plain loop.  The first exception stops every
-    participant from taking a further item and is raised here once they have
-    all stopped.  A job the helper has not started when this thread runs out
-    of items is cancelled, so a busy helper never blocks the caller; at
-    interpreter shutdown this thread runs every item.  Jobs run in a copy of
-    the caller's context, so numpy's ``errstate`` holds in the helper too.
+    Given two or more items and ``_shares()``, it submits one job to
+    ``_EXECUTOR``'s one worker; both threads then take the next item from
+    one shared iterator until none is left, so ``fn`` must write only what
+    its item owns.  The first exception stops both from taking a further
+    item and is raised here once both have stopped.  A job the helper has
+    not started when this thread runs out of items is cancelled, so a busy
+    helper never blocks the caller; at interpreter shutdown this thread runs
+    every item.  The job runs in a copy of the caller's context, so numpy's
+    ``errstate`` holds in the helper too.
     """
     global _EXECUTOR
-    n = min(len(items), _participants())
-    if n < 2:
-        for item in items:
-            fn(item)
-        return
     todo = iter(items)  # next() on a list iterator is atomic under the GIL
     errors = []
 
@@ -379,21 +372,21 @@ def _each(fn, items: list) -> None:
                 if errors:
                     break
                 fn(item)
-        except BaseException as exc:  # raised in the caller once every participant stops
+        except BaseException as exc:  # raised in the caller once both threads stop
             errors.append(exc)
 
-    jobs = []  # extended job by job: a refused job leaves the earlier ones in the list
-    with contextlib.suppress(RuntimeError):  # interpreter shutdown: no import, thread or job
-        with _STARTING:
-            if _EXECUTOR is None:
-                from concurrent.futures import ThreadPoolExecutor
-                _EXECUTOR = ThreadPoolExecutor(_MOST - 1, thread_name_prefix="kernelkoop-helper")
-        jobs.extend(_EXECUTOR.submit(contextvars.copy_context().run, drain) for _ in range(n - 1))
+    job = None
+    if len(items) > 1 and _shares():
+        with contextlib.suppress(RuntimeError):  # interpreter shutdown: no import, thread or job
+            with _STARTING:
+                if _EXECUTOR is None:
+                    from concurrent.futures import ThreadPoolExecutor
+                    _EXECUTOR = ThreadPoolExecutor(1, thread_name_prefix="kernelkoop-helper")
+            job = _EXECUTOR.submit(contextvars.copy_context().run, drain)
     drain()
     try:
-        for job in jobs:
-            if not job.cancel():  # the helper has started it: wait for it to stop
-                job.result()
+        if job is not None and not job.cancel():  # the helper has started it: wait for it to stop
+            job.result()
     except BaseException as exc:  # interrupted while waiting: the helper stops too
         errors.append(exc)
         raise

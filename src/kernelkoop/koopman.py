@@ -185,8 +185,8 @@ def predict(estimate: KoopmanEstimate, x) -> np.ndarray:
 
     The queries go through in the row blocks of ``kernels._row_blocks``,
     whose kernel matrices hold at most ``_MAX_ENTRIES`` entries, so the
-    extra memory does not grow with m.  The blocks are shared by the
-    threads of ``kernels._each``; each thread multiplies the blocks it
+    extra memory does not grow with m.  The blocks are shared as
+    ``kernels._each`` describes; each thread multiplies the blocks it
     built and writes their rows, so the threads change no bit.  A query
     set that fits in one block is one call of
     ``kernel_matrix(kernel, x, centers) @ alpha``.  Blocks

@@ -1,26 +1,28 @@
 """The distance layer's threads: ``kernels._each`` and the two row sweeps it shares.
 
 Only ``koopman.predict`` and fill distance's ``kernels._nearest`` share
-their blocks; the Gram, the cross matrix and ``separation`` run in the
-calling thread.  The number of participants must change no bit of any
-result, and the failure contract must hold whichever thread meets the
-failure: the error is raised in the caller, after which no participant
-takes a further block.  Each test sets ``_participants`` itself, so it
-runs the same on any host, and most set ``_MAX_ENTRIES`` to 8 so that
-small examples span many blocks.  The last tests run a fresh interpreter
-each, for what happens once per process: which queries start a helper, a
-query at interpreter shutdown, in a forked child, and the first query of
-two threads at once.
+their blocks, as ``_each``'s docstring describes; the Gram, the cross
+matrix and ``separation`` run in the calling thread.  Whether the helper
+shares a sweep must change no bit of any result, and the failure contract
+must hold whichever thread meets the failure: the error is raised in the
+caller, after which neither thread takes a further block.  Each test sets
+``_shares`` itself, so it runs the same on any host, and most set
+``_MAX_ENTRIES`` to 8 so that small examples span many blocks.  The last
+tests run a fresh interpreter each, for what happens once per process:
+which queries start a helper, a query at interpreter shutdown, in a forked
+child, and the first query of two threads at once.
 """
 
 import ast
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,7 @@ from kernelkoop import (
 )
 
 SPECS = [KernelSpec("matern", beta=1.0), KernelSpec("wendland_c4", support_scale=0.5)]
-# how long a test holds one participant inside a block, so that another takes the next
+# how long a test holds one thread inside a block, so that the other takes the next
 WAIT = 5.0
 
 
@@ -88,13 +90,12 @@ def test_the_number_of_participants_changes_no_bit(spec, monkeypatch):
 
     monkeypatch.setattr(kernels, "_cdist", spy)
     results = {}
-    for n in (1, 2, 3):
-        monkeypatch.setattr(kernels, "_participants", lambda n=n: n)
+    for shares in (False, True):
+        monkeypatch.setattr(kernels, "_shares", lambda shares=shares: shares)
         threads.clear()
-        results[n] = _results(spec)
-        assert len(threads) == 1 if n == 1 else len(threads) >= 2, (n, threads)
-    assert results[2] == results[1]
-    assert results[3] == results[1]
+        results[shares] = _results(spec)
+        assert len(threads) == 2 if shares else len(threads) == 1, (shares, threads)
+    assert results[True] == results[False]
 
 
 def test_a_helpers_memory_error_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch):
@@ -104,11 +105,11 @@ def test_a_helpers_memory_error_exits_3_with_one_error_line(tmp_path, capsys, mo
     monkeypatch.setattr(kernels, "_MAX_ENTRIES", 8)
     shared, raised = threading.Event(), threading.Event()
 
-    def participants():
+    def shares():
         shared.set()  # called by _each: the caller is in a shared query, the fit's predict
-        return 2
+        return True
 
-    monkeypatch.setattr(kernels, "_participants", participants)
+    monkeypatch.setattr(kernels, "_shares", shares)
     profile = kernels._profile
 
     def spy(spec, r, out=None):
@@ -128,7 +129,7 @@ def test_a_helpers_memory_error_exits_3_with_one_error_line(tmp_path, capsys, mo
 
 
 def test_after_a_helpers_error_the_caller_takes_no_further_item(monkeypatch):
-    monkeypatch.setattr(kernels, "_participants", lambda: 2)
+    monkeypatch.setattr(kernels, "_shares", lambda: True)
     taken, failed = threading.Event(), threading.Event()
     calls = []
 
@@ -148,7 +149,7 @@ def test_after_a_helpers_error_the_caller_takes_no_further_item(monkeypatch):
 
 
 def test_after_the_callers_error_the_helper_takes_no_further_item(monkeypatch):
-    monkeypatch.setattr(kernels, "_participants", lambda: 2)
+    monkeypatch.setattr(kernels, "_shares", lambda: True)
     started = threading.Event()
     calls = []
 
@@ -169,7 +170,7 @@ def test_after_the_callers_error_the_helper_takes_no_further_item(monkeypatch):
 
 
 def test_every_item_is_taken_once_by_more_participants_than_cpus(monkeypatch):
-    monkeypatch.setattr(kernels, "_participants", lambda: 4)
+    monkeypatch.setattr(kernels, "_shares", lambda: True)
     counts = [0] * 20_000
 
     def fn(item):
@@ -188,22 +189,111 @@ def test_every_item_is_taken_once_by_more_participants_than_cpus(monkeypatch):
 
 
 def test_one_participant_is_a_plain_loop_in_the_caller(monkeypatch):
-    monkeypatch.setattr(kernels, "_participants", lambda: 1)
+    monkeypatch.setattr(kernels, "_shares", lambda: False)
     seen = []
     kernels._each(lambda item: seen.append((item, _in_helper())), list(range(20)))
     assert seen == [(i, False) for i in range(20)]
 
 
+class _Executor(ThreadPoolExecutor):
+    """``kernels._EXECUTOR``'s kind, counting the jobs submitted; a refusing one raises."""
+
+    def __init__(self, refuse: bool = False):
+        super().__init__(1, thread_name_prefix="test-helper")
+        self.refuse, self.jobs = refuse, 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.jobs += 1
+        if self.refuse:  # what an executor does once the interpreter is shutting down
+            raise RuntimeError("cannot schedule new futures after interpreter shutdown")
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.mark.parametrize("shares, items, jobs", [(False, 20, 0), (True, 1, 0), (True, 20, 1)])
+def test_each_submits_at_most_one_job(shares, items, jobs, monkeypatch):
+    monkeypatch.setattr(kernels, "_shares", lambda: shares)
+    seen = []
+    with _Executor() as executor:
+        monkeypatch.setattr(kernels, "_EXECUTOR", executor)
+        kernels._each(lambda item: (time.sleep(1e-4), seen.append(item)), list(range(items)))
+    assert sorted(seen) == list(range(items))
+    assert executor.jobs == jobs
+
+
+def test_a_refused_job_leaves_every_item_to_the_caller(one_thread_digest, monkeypatch):
+    monkeypatch.setattr(kernels, "_shares", lambda: True)
+    threads, cdist = set(), kernels._cdist
+
+    def spy(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return cdist(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_cdist", spy)
+    points = np.random.default_rng(0).uniform(size=(3000, 2))
+    with _Executor(refuse=True) as executor:
+        monkeypatch.setattr(kernels, "_EXECUTOR", executor)
+        near = kernels._nearest(points, points[::3])
+    assert hashlib.sha256(near.tobytes()).hexdigest() == one_thread_digest
+    assert (executor.jobs, threads) == (1, {threading.current_thread()})
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM on this platform")
+def test_a_caller_interrupted_while_waiting_raises_before_the_helpers_item_ends(monkeypatch):
+    monkeypatch.setattr(kernels, "_shares", lambda: True)
+    held, release = threading.Event(), threading.Event()
+    calls = []
+
+    def fn(item):
+        if _in_helper():
+            calls.append("start")
+            held.set()
+            release.wait(WAIT)  # the helper holds its item until the test lets it go
+            calls.append("end")
+        else:
+            held.wait(WAIT)
+            # the caller has the other item and then none is left: it is waiting for the
+            # helper when the alarm interrupts it
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    try:
+        with pytest.raises(_Interrupted):
+            kernels._each(fn, [0, 1])
+        assert calls == ["start"]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        release.set()
+    deadline = time.monotonic() + WAIT
+    while calls != ["start", "end"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert calls == ["start", "end"]
+
+
 def test_participants_follow_the_cpus_this_process_may_use(monkeypatch):
-    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0})
-    assert kernels._participants() == 1
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert kernels._shares() is False
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert kernels._participants() == 2
+    assert kernels._shares() is True
+    # a platform without the affinity call counts the CPUs of the machine; None is unknown
+    monkeypatch.delattr(kernels.os, "sched_getaffinity")
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: None)
+    assert kernels._shares() is False
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 4)
+    assert kernels._shares() is True
 
 
 def test_helpers_run_under_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(kernels, "_MAX_ENTRIES", 8)
-    monkeypatch.setattr(kernels, "_participants", lambda: 2)
+    monkeypatch.setattr(kernels, "_shares", lambda: True)
     # centers 1000 apart and queries halfway between them: every kernel value of the
     # predict underflows in exp, in 5 blocks of 8 rows
     x = 1000.0 * np.arange(40.0)[:, None]
@@ -228,7 +318,7 @@ def test_helpers_run_under_the_callers_errstate(monkeypatch):
     assert helper_raised.is_set()
 
 
-# Prefix of the scripts below, each run in a fresh interpreter: two participants
+# Prefix of the scripts below, each run in a fresh interpreter: a shared sweep
 # whatever the host, and one shared query as a digest: fill distance's sweep, each of
 # 3000 points' distance to the nearest of 1000 centers, in 24 blocks of 128 rows.
 _QUERY = """
@@ -237,7 +327,7 @@ import numpy as np
 import kernelkoop.kernels as kernels
 from kernelkoop import KernelSpec, fill_distance, kernel_matrix, separation
 
-kernels._participants = lambda: 2
+kernels._shares = lambda: True
 points = np.random.default_rng(0).uniform(size=(3000, 2))
 centers = points[::3]
 
@@ -258,7 +348,7 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
 
 @pytest.fixture
 def one_thread_digest(monkeypatch):
-    monkeypatch.setattr(kernels, "_participants", lambda: 1)
+    monkeypatch.setattr(kernels, "_shares", lambda: False)
     points = np.random.default_rng(0).uniform(size=(3000, 2))
     return hashlib.sha256(kernels._nearest(points, points[::3]).tobytes()).hexdigest()
 
