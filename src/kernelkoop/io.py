@@ -5,10 +5,12 @@ configuration that produced it.  Floats are written with shortest
 round-trip repr, so rereading a file reproduces the arrays bit for bit
 and reruns produce byte-identical files.
 
-Tables go a column at a time.  The writer formats each column in one
-pass (ints by ``str``, floats by ``repr``, strings as they are) and
-joins the columns row-wise.  The readers parse the whole body with one
-``np.loadtxt`` call, which converts each float field with
+Tables are written one block of ``_BLOCK_ROWS`` rows at a time, so a
+write holds one block's text whatever the table's length.  A block is
+formatted a column at a time (ints by ``str``, floats by ``repr``,
+strings as they are) and joined row-wise.  A failed write leaves its
+path as it was and no temp file.  The readers parse the whole body with
+one ``np.loadtxt`` call, which converts each float field with
 ``PyOS_string_to_double``: the same correctly rounded conversion that
 ``float()`` uses, so a file written with ``repr`` reads back to the same
 bits.  The readers return C-contiguous arrays, int64 for ``k``/``idx``
@@ -17,17 +19,18 @@ and float64 for the rest.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CsvFormatError
-from .kernels import KernelSpec, PointSet, TrajectoryDataset, _time_indices
+from .kernels import KernelSpec, PointSet, TrajectoryDataset, _slices, _time_indices
 from .koopman import EstimateMode, KoopmanEstimate
 from .linsys import SolveReport
 
@@ -37,14 +40,18 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial files."""
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write a str, or an iterable of str chunks, via a sibling temp file and rename.
+
+    Readers never see a partial file: if a write or the iterable raises, the
+    temp file is removed and ``path`` keeps what it held.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -72,24 +79,28 @@ def write_rows_csv(path, header: Sequence[str], rows, params=None) -> None:
     _write_columns(path, header, columns, params)
 
 
+# rows per written block: a 6-column trajectory's write holds about 0.4 MiB at any length
+_BLOCK_ROWS = 1024
+# the cell formatter of each column kind: ints by ``str``, floats by ``repr``, strings as given
+_FORMATS = {"i": str, "u": str, "f": repr, "U": str}
+
+
 def _write_columns(path, header: Sequence[str], columns, params) -> None:
-    cells = [_column_cells(column) for column in columns]
-    body = "".join([",".join(row) + "\n" for row in zip(*cells)])
+    columns = [np.asarray(column) for column in columns]
+    for column in columns:  # checked before the temp file exists
+        if column.dtype.kind not in _FORMATS:
+            raise TypeError(f"cannot write a column of dtype {column.dtype}")
     # a multi-line config value (its lines joined by '\n') stays on its one comment line
     comments = "".join(f"# {k} = {v}".replace("\n", " ") + "\n" for k, v in (params or {}).items())
-    atomic_write_text(path, comments + ",".join(header) + "\n" + body)
+    n = min(map(len, columns), default=0)
+    blocks = (_block([column[rows] for column in columns]) for rows in _slices(n, _BLOCK_ROWS))
+    atomic_write_text(path, itertools.chain([comments + ",".join(header) + "\n"], blocks))
 
 
-def _column_cells(column):
-    """The cells of one column: ints by ``str``, floats by ``repr``, strings as given."""
-    values = np.asarray(column)
-    if values.dtype.kind in "iu":
-        return map(str, values.tolist())
-    if values.dtype.kind == "f":
-        return map(repr, values.tolist())
-    if values.dtype.kind == "U":
-        return values.tolist()
-    raise TypeError(f"cannot write a column of dtype {values.dtype}")
+def _block(columns) -> str:
+    """The text of one block of rows, formatted a column at a time and joined row-wise."""
+    cells = [map(_FORMATS[column.dtype.kind], column.tolist()) for column in columns]
+    return "".join([",".join(row) + "\n" for row in zip(*cells)])
 
 
 def _read_table(path) -> tuple[dict[str, str], list[str], np.ndarray, np.ndarray]:

@@ -331,11 +331,15 @@ def _points(obj, what: str) -> np.ndarray:
 
 
 def _row_blocks(m: int, cols: int) -> list[slice]:
-    """Row blocks of an (m, cols) array: 8k rows, at most ``_MAX_ENTRIES`` entries unless k = 1.
+    """Row blocks of an (m, cols) array: 8k rows, at most ``_MAX_ENTRIES`` entries unless k = 1."""
+    return _slices(m, max(8, _MAX_ENTRIES // cols // 8 * 8))
+
+
+def _slices(m: int, rows: int) -> list[slice]:
+    """Consecutive blocks of ``rows`` rows over m rows; the last may be shorter.
 
     m = 0 gives one empty slice, so a loop over the blocks still makes one call.
     """
-    rows = max(8, _MAX_ENTRIES // cols // 8 * 8)
     return [slice(s, s + rows) for s in range(0, max(m, 1), rows)]
 
 
@@ -384,12 +388,8 @@ def _each(fn, items: list) -> None:
                     _EXECUTOR = ThreadPoolExecutor(1, thread_name_prefix="kernelkoop-helper")
             job = _EXECUTOR.submit(contextvars.copy_context().run, drain)
     drain()
-    try:
-        if job is not None and not job.cancel():  # the helper has started it: wait for it to stop
-            job.result()
-    except BaseException as exc:  # interrupted while waiting: the helper stops too
-        errors.append(exc)
-        raise
+    if job is not None and not job.cancel():  # the helper has started it: wait for it to stop
+        job.result()
     if errors:
         raise errors[0]
 

@@ -104,3 +104,21 @@ def reference_table(header, rows) -> str:
     """Header line and data rows, formatted one cell at a time."""
     body = "".join(",".join(reference_cell(v) for v in row) + "\n" for row in rows)
     return ",".join(header) + "\n" + body
+
+
+def reference_csv(header, columns, params=None) -> str:
+    """A whole table file as the one-shot writer built it: every column in one pass, then joined."""
+
+    def cells(column):
+        values = np.asarray(column)
+        if values.dtype.kind in "iu":
+            return map(str, values.tolist())
+        if values.dtype.kind == "f":
+            return map(repr, values.tolist())
+        if values.dtype.kind == "U":
+            return values.tolist()
+        raise TypeError(f"cannot write a column of dtype {values.dtype}")
+
+    body = "".join([",".join(row) + "\n" for row in zip(*map(cells, columns))])
+    comments = "".join(f"# {k} = {v}".replace("\n", " ") + "\n" for k, v in (params or {}).items())
+    return comments + ",".join(header) + "\n" + body

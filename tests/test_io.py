@@ -1,18 +1,22 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import reference_csv
 
 from kernelkoop import (
     CsvFormatError,
     KernelSpec,
     PendulumConfig,
     PointSet,
+    TrajectoryDataset,
     fit_pullback,
     simulate,
     subselect_centers,
 )
+from kernelkoop import io as kio
 from kernelkoop.io import (
     atomic_write_text,
     read_estimate_csv,
@@ -332,3 +336,85 @@ def test_io_errors(tmp_path, call, error, message):
     with pytest.raises(error) as err:
         call(path)
     assert str(err.value) == message.format(path=path)
+
+
+BLOCK = kio._BLOCK_ROWS
+MiB = 1 << 20
+
+
+def _table(n):
+    """n rows of a string, an int and two float columns, with NaN, ±inf and −0.0 at the block edges."""
+    rng = np.random.default_rng(n)
+    labels = rng.choice(["", "a", "matern(1.0)", "nan"], n)
+    ints = rng.integers(-2**63, 2**63 - 1, n)
+    floats = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+    for row in {0, BLOCK - 1, BLOCK, n - 1} & set(range(n)):
+        floats[row] = rng.choice([np.nan, np.inf, -np.inf, -0.0], 2)
+    return labels, ints, floats
+
+
+@pytest.mark.parametrize("n", [k * BLOCK + e for k in (1, 2) for e in (-1, 0, 1)])
+def test_block_writer_equals_the_one_shot_writer_at_block_edges(tmp_path, n):
+    labels, ints, floats = _table(n)
+    path = tmp_path / "table.csv"
+    header = ["label", "n", "u", "v"]
+    rows = [[s, int(i), *f] for s, i, f in zip(labels.tolist(), ints, floats.tolist())]
+    params = {"command": "t", "etas": "1.8,\n0.8"}
+    write_rows_csv(path, header, rows, params)
+    assert path.read_bytes() == reference_csv(header, list(zip(*rows)), params).encode()
+    write_rows_csv(path, ["u", "v"], floats)
+    assert path.read_bytes() == reference_csv(["u", "v"], floats.T).encode()
+    finite = np.nan_to_num(floats)  # −0.0 and the largest floats stay
+    ds = TrajectoryDataset(k=ints, x=finite, x_next=finite[::-1], y_next=finite[:, 1])
+    write_trajectory_csv(path, ds)
+    columns = [ds.k, *ds.x.T, *ds.x_next.T, *ds.y_next.T]
+    assert path.read_bytes() == reference_csv(kio._trajectory_header(2, 1), columns).encode()
+
+
+def test_a_header_without_rows_is_written_alone(tmp_path):
+    path = tmp_path / "table.csv"
+    write_rows_csv(path, ["a", "b"], [], {"command": "t"})
+    assert path.read_bytes() == reference_csv(["a", "b"], [], {"command": "t"}).encode()
+    assert path.read_text() == "# command = t\na,b\n"
+    write_rows_csv(path, ["u", "v"], np.empty((0, 2)))
+    assert path.read_text() == reference_csv(["u", "v"], np.empty((2, 0))) == "u,v\n"
+
+
+def _failing_chunks():
+    yield "k,x1\n"
+    yield "0,1.0\n" * 10000  # past the file's buffer, so bytes reach the temp file
+    raise RuntimeError("chunk failed")
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new-path", "existing-file"])
+def test_a_failing_chunk_leaves_the_path_as_it_was(tmp_path, old):
+    path = tmp_path / "out.csv"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        atomic_write_text(path, _failing_chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["out.csv"])
+    if old is not None:
+        assert path.read_bytes() == old
+
+
+def test_column_kinds_are_checked_before_any_file_is_opened(tmp_path, monkeypatch):
+    opened = []
+    monkeypatch.setattr(kio, "atomic_write_text", lambda path, text: opened.append(path))
+    with pytest.raises(TypeError, match="cannot write a column of dtype bool"):
+        write_rows_csv(tmp_path / "t.csv", ["n", "ok"], [[1, True], [2, False]])
+    assert opened == []
+
+
+def test_a_trajectory_writes_peak_memory_does_not_grow_with_its_length(tmp_path):
+    peaks = []
+    for steps in (20000, 60000):
+        ds = simulate(PendulumConfig(steps=steps))
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(tmp_path / "traj.csv", ds, {"command": "simulate"})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * MiB, peaks
+    assert abs(peaks[1] - peaks[0]) < 1 * MiB, peaks
